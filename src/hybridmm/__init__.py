@@ -6,8 +6,7 @@ block moves, I/O lower-bound evaluation from maximal sub-problems, and
 small-instance CDAG verification of the structural facts the bounds rest on.
 """
 
-from .ringmat import (DEFAULT_MODULUS, Matrix, RingElem, mat_add, mat_mul_naive,
-                      mat_sub, pad_to_pow2)
+from .ringmat import DEFAULT_MODULUS, Matrix, mat_add, mat_mul_naive, mat_sub
 from .plans import (SCHEMES, STRASSEN, WINOGRAD, FastNode, FastScheme,
                     PlanParseError, RecursionPlan, StandardLeaf, StandardVariant,
                     parse_plan, plan_stats, random_plan, serialize_plan,

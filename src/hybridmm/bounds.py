@@ -112,7 +112,6 @@ class BoundReport:
     sequential_bound: object
     c: float = BOUND_CONSTANT_C
     parallel_bound: object = None
-    padded: bool = False
 
     def to_dict(self) -> dict:
         def num(x):
@@ -135,15 +134,10 @@ class BoundReport:
             "sequential_bound": num(self.sequential_bound),
             "c": self.c,
             "parallel_bound": num(self.parallel_bound),
-            "padded": self.padded,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _padded_size(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
 def sequential_bound(plan: RecursionPlan, n: int, m: int, b: int,
@@ -151,9 +145,8 @@ def sequential_bound(plan: RecursionPlan, n: int, m: int, b: int,
     """Evaluate the three-term sequential lower bound for the plan."""
     if m < 1 or b < 1:
         raise ValueError("m and b must be >= 1")
-    padded = _padded_size(n)
-    if padded != plan.size:
-        raise ValueError(f"plan size {plan.size} does not cover n={n}")
+    if n != plan.size:
+        raise ValueError(f"plan size {plan.size} does not match n={n}")
     msps = enumerate_msps(plan, m, threshold)
     nu1 = sum(1 for d in msps if d.msp_type == 1)
     nu2 = sum(1 for d in msps if d.msp_type == 2)
@@ -169,7 +162,7 @@ def sequential_bound(plan: RecursionPlan, n: int, m: int, b: int,
     return BoundReport(
         n=n, m=m, b=b, nu1=nu1, nu2=nu2, t_total=tt,
         term_input=term_input, term_t=term_t, term_nu2=term_nu2,
-        sequential_bound=seq, padded=padded != n,
+        sequential_bound=seq,
     )
 
 
@@ -221,7 +214,4 @@ def uniform_parallel_closed_form(n: int, n0: int, m: int, bm: int, p: int):
     """Closed-form parallel bound: inner term over P*Bm, no input term."""
     if p < 1 or bm < 1:
         raise ValueError("p and bm must be >= 1")
-    inner = uniform_inner_term(n, n0, m)
-    if isinstance(inner, Fraction):
-        return inner / (p * bm)
-    return inner / (p * bm)
+    return uniform_inner_term(n, n0, m) / (p * bm)

@@ -244,15 +244,16 @@ class EncoderGraph:
     edges: tuple  # (input_index, output_index), input in 0..3, output in 0..6
 
     @classmethod
-    def from_scheme(cls, scheme: FastScheme, side: str) -> "EncoderGraph":
-        rows = scheme.encode_a if side.upper() == "A" else scheme.encode_b
+    def from_rows(cls, rows) -> "EncoderGraph":
+        """Edges of 7 encoder rows of 4 coefficients: q -> i iff rows[i][q]."""
         return cls(tuple((q, i) for i in range(7) for q in range(4) if rows[i][q]))
+
+    @classmethod
+    def from_scheme(cls, scheme: FastScheme, side: str) -> "EncoderGraph":
+        return cls.from_rows(scheme.encode_a if side.upper() == "A" else scheme.encode_b)
 
     def output_neighborhood(self, i: int):
         return frozenset(q for q, o in self.edges if o == i)
-
-    def input_neighborhood(self, q: int):
-        return frozenset(o for qq, o in self.edges if qq == q)
 
 
 def verify_encoder_distinct_neighborhoods(enc: EncoderGraph) -> bool:

@@ -5,14 +5,16 @@ Subcommands
 -----------
 verify
     Run the encoder checks (distinct output neighborhoods, subset
-    connectivity) and the sampled dominator-bound checks on small built-in
-    plans.  ``--scheme-file`` points at a JSON scheme to check instead of
-    the built-in one; ``--max-vertices 0`` skips the dominator suites.
-    Exits 1 on any failure.
+    connectivity) and 2x2 correctness of every registered scheme, and the
+    sampled dominator-bound checks on small built-in plans.
+    ``--scheme-file`` points at a JSON scheme to check instead of the
+    registered ones; ``--max-vertices 0`` skips the dominator suites.
+    Exits 1 on any failure, 2 on a malformed scheme file.
 
 bounds --plan FILE --n N --M M --B B [--P P --Bm BM]
     Evaluate the sequential (and optionally parallel) lower bound for the
-    plan; prints a JSON report.
+    plan; prints a JSON report.  ``--n`` defaults to, and must equal, the
+    plan size.
 
 simulate --plan FILE --n N --M M --B B [--dump-schedule FILE]
     Generate the hybrid schedule for the plan, simulate it, and print its
@@ -49,7 +51,8 @@ from .cdag import (EncoderGraph, build_cdag, min_dominator_size,
                    verify_encoder_distinct_neighborhoods)
 from .engine import execute
 from .pebble import MachineConfig, check_parsimonious, dump_schedule, simulate
-from .plans import SCHEMES, STRASSEN, FastScheme, parse_plan, random_plan, uniform_plan
+from .plans import (SCHEMES, FastScheme, check_coefficients, parse_plan, random_plan,
+                    uniform_plan)
 from .ringmat import Matrix, is_pow2, mat_mul_naive
 from .schedules import gen_hybrid_schedule
 
@@ -69,16 +72,24 @@ def _fmt_num(x) -> str:
 # ---------------------------------------------------------------------------
 
 def _load_scheme_file(path):
+    """(id, encode_a, encode_b, decode) from a JSON scheme file.  A file
+    that is not an object holding the three coefficient matrices in their
+    scheme shape raises ValueError, which exits 2."""
     with open(path) as fh:
         raw = json.load(fh)
-    return raw
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [k for k in ("encode_a", "encode_b", "decode") if k not in raw]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    check_coefficients(raw["encode_a"], raw["encode_b"], raw["decode"])
+    return str(raw.get("id", "custom")), raw["encode_a"], raw["encode_b"], raw["decode"]
 
 
-def _check_encoders(raw_rows_a, raw_rows_b, label):
+def _check_encoders(rows_a, rows_b, label):
     results = []
-    for side, rows in (("A", raw_rows_a), ("B", raw_rows_b)):
-        edges = tuple((q, i) for i in range(7) for q in range(4) if rows[i][q])
-        enc = EncoderGraph(edges)
+    for side, rows in (("A", rows_a), ("B", rows_b)):
+        enc = EncoderGraph.from_rows(rows)
         distinct = verify_encoder_distinct_neighborhoods(enc)
         conn = verify_encoder_connectivity(enc)
         results.append({
@@ -110,28 +121,20 @@ def cmd_verify(args) -> int:
     ok = True
 
     if args.scheme_file:
-        raw = _load_scheme_file(args.scheme_file)
-        enc_results = _check_encoders(raw["encode_a"], raw["encode_b"],
-                                      raw.get("id", "custom"))
+        schemes = [_load_scheme_file(args.scheme_file)]
+    else:
+        schemes = [(s.id, s.encode_a, s.encode_b, s.decode) for s in SCHEMES.values()]
+    for label, rows_a, rows_b, rows_d in schemes:
+        enc_results = _check_encoders(rows_a, rows_b, label)
         detail["encoders"].extend(enc_results)
+        # distinct neighborhoods rule out the duplicate rows FastScheme rejects
         correct = None
         if all(r["distinct_neighborhoods"] and r["connectivity_pass"] for r in enc_results):
-            try:
-                scheme = FastScheme(raw.get("id", "custom"),
-                                    tuple(tuple(r) for r in raw["encode_a"]),
-                                    tuple(tuple(r) for r in raw["encode_b"]),
-                                    tuple(tuple(r) for r in raw["decode"]))
-                correct = _scheme_correct(scheme)
-            except ValueError:
-                correct = False
-        detail["schemes"].append({"id": raw.get("id", "custom"), "correct": correct})
+            scheme = FastScheme(label, *(tuple(map(tuple, m)) for m in (rows_a, rows_b, rows_d)))
+            correct = _scheme_correct(scheme)
+        detail["schemes"].append({"id": label, "correct": correct})
         if correct is False:
             ok = False
-    else:
-        for scheme in (STRASSEN,):
-            detail["encoders"].extend(
-                _check_encoders(scheme.encode_a, scheme.encode_b, scheme.id))
-            detail["schemes"].append({"id": scheme.id, "correct": _scheme_correct(scheme)})
 
     for r in detail["encoders"]:
         status = "PASS" if r["distinct_neighborhoods"] and r["connectivity_pass"] else "FAIL"

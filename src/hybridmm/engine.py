@@ -6,8 +6,10 @@ through one plan in a single tree walk. ``execute`` is the single-pair
 surface; ``execute_stacked`` exposes the same core for bulk verification.
 
 Alongside the product the walk records a trace of block-level events
-(encodes, leaf multiplications, decodes) used by the scheduling and
-bound-accounting modules.
+(encodes, leaf multiplications, decodes) and per-leaf product counts.  No
+other module reads the trace; it is returned so that callers can check a
+walk against the plan, e.g. its leaf count against ``plan_stats`` and its
+elementary products against the bound's |T|.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ BLOCK_DECODE = "BLOCK_DECODE"
 
 @dataclass
 class ExecTrace:
-    """Ordered block-level events plus per-leaf elementary-product counts.
+    """Ordered block-level events plus per-leaf elementary-product counts,
+    for checking a walk against its plan; the schedule generators and the
+    bound code work from the plan itself, not from this trace.
 
     Events are tuples:
       (BLOCK_ENCODE, level, factor, child_index)   factor in {"A", "B"}

@@ -36,6 +36,19 @@ class StandardVariant(Enum):
     BLOCK_RECURSIVE = "block"
 
 
+def check_coefficients(encode_a, encode_b, decode):
+    """Raise ValueError unless ``encode_a`` and ``encode_b`` are 7 rows of 4
+    coefficients and ``decode`` is 4 rows of 7, all in {-1, 0, 1}."""
+    for name, rows, height, width in (("encode_a", encode_a, 7, 4),
+                                      ("encode_b", encode_b, 7, 4),
+                                      ("decode", decode, 4, 7)):
+        if (not isinstance(rows, (list, tuple)) or len(rows) != height
+                or any(not isinstance(r, (list, tuple)) or len(r) != width for r in rows)):
+            raise ValueError(f"{name} must be {height} rows of {width} coefficients")
+        if any(c not in (-1, 0, 1) for r in rows for c in r):
+            raise ValueError(f"{name} coefficients must be in {{-1, 0, 1}}")
+
+
 @dataclass(frozen=True)
 class FastScheme:
     """A 2x2-base fast multiplication scheme in coefficient form.
@@ -51,12 +64,7 @@ class FastScheme:
     decode: tuple  # 4 rows of 7 coefficients in {-1, 0, 1}
 
     def __post_init__(self):
-        if len(self.encode_a) != 7 or len(self.encode_b) != 7 or len(self.decode) != 4:
-            raise ValueError("scheme must have 7 encode rows per factor and 4 decode rows")
-        for rows, width in ((self.encode_a, 4), (self.encode_b, 4), (self.decode, 7)):
-            for r in rows:
-                if len(r) != width or any(c not in (-1, 0, 1) for c in r):
-                    raise ValueError("coefficients must be in {-1, 0, 1}")
+        check_coefficients(self.encode_a, self.encode_b, self.decode)
         for rows, name in ((self.encode_a, "encode_a"), (self.encode_b, "encode_b")):
             if len({tuple(r) for r in rows}) != 7:
                 raise ValueError(f"{name} has two identical rows")

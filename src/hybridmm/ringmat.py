@@ -12,57 +12,9 @@ the result is the exact product mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_MODULUS = (1 << 31) - 1
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """A single element of Z/pZ with exact arithmetic."""
-
-    value: int
-    modulus: int = DEFAULT_MODULUS
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElem):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        return int(other) % self.modulus
-
-    def __add__(self, other):
-        return RingElem((self.value + self._coerce(other)) % self.modulus, self.modulus)
-
-    def __sub__(self, other):
-        return RingElem((self.value - self._coerce(other)) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        return RingElem((self.value * self._coerce(other)) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElem(-self.value % self.modulus, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, RingElem):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"RingElem({self.value})"
 
 
 class Matrix:
@@ -177,17 +129,6 @@ def mat_mul_naive(a: Matrix, b: Matrix) -> Matrix:
     """
     _check_same_shape(a, b)
     return Matrix(matmul_mod(a.data, b.data, a.modulus), a.modulus)
-
-
-def pad_to_pow2(a: Matrix) -> Matrix:
-    """Embed a into the top-left of the smallest 2^k x 2^k zero matrix."""
-    n = a.n
-    target = 1 if n <= 1 else 1 << (n - 1).bit_length()
-    if target == n:
-        return a
-    out = np.zeros((target, target), dtype=np.int64)
-    out[:n, :n] = a.data
-    return Matrix(out, a.modulus)
 
 
 def is_pow2(n: int) -> bool:

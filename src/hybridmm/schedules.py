@@ -25,6 +25,21 @@ complete), which is what lets a subtree of side s run in roughly 3*s^2
 words.  All emission is budgeted: any step that would exceed M raises and
 the caller falls back to a coarser strategy, so generated schedules are
 legal by construction.
+
+Every {-1, 0, 1} linear combination of blocks, driven by the ``FastScheme``
+coefficient rows, goes through one of three shared routines:
+
+``_stream_combine``
+    blocks in slow memory <- coefficient rows x blocks, in one synchronized
+    pass: the stream encode (4 quadrants -> materialized operands) and the
+    stream decode (7 sub-products, some possibly cache-resident -> 4
+    output quadrants).
+``_build_operand``
+    one child operand block in cache from resident source blocks, for
+    in-cache and fused children alike.
+``_incache_leaf``
+    the standard triple loop over resident operands, for in-cache leaves
+    and for the blocked generator when the whole problem fits.
 """
 
 from __future__ import annotations
@@ -215,19 +230,9 @@ def _blocked(em: _Emitter, av: View, bv: View, cv: View):
 
 def _blocked_full_resident(em: _Emitter, av: View, bv: View, cv: View):
     # whole problem plus a scratch word fits: one read pass, one write pass
-    n = av.rows
     em.read_view(av)
     em.read_view(bv)
-    scratch = em.alloc(1)
-    for i in range(n):
-        for j in range(n):
-            c_addr = cv.addr(i, j)
-            em.compute(c_addr, OP_MUL, av.addr(i, 0), bv.addr(0, j))
-            for k in range(1, n):
-                em.compute(scratch, OP_MUL, av.addr(i, k), bv.addr(k, j))
-                em.compute(c_addr, OP_ADD, c_addr, scratch)
-    if scratch in em.resident:
-        em.evict(scratch)
+    _incache_leaf(em, av, bv, cv, write_out=False, own_a=False, own_b=False)
     em.write_view(cv)
     em.evict_view(av)
     em.evict_view(bv)
@@ -306,8 +311,11 @@ def _emit_combo_word(em, dst, srcs):
             em.compute(dst, OP_ADD if s == 1 else OP_SUB, dst, a)
 
 
-def _incache_leaf(em, node, a: View, b: View, out: View, write_out, own_a, own_b):
-    s = node.size
+def _incache_leaf(em, a: View, b: View, out: View, write_out, own_a, own_b):
+    """Triple loop over resident operands.  Owned A rows are evicted after
+    their last use, B after the loop; with ``write_out`` each output row is
+    written and evicted as soon as it completes."""
+    s = a.rows
     if s == 1:
         em.compute(out.base, OP_MUL, a.base, b.base)
         if own_a:
@@ -339,40 +347,36 @@ def _incache_leaf(em, node, a: View, b: View, out: View, write_out, own_a, own_b
         em.evict_view(b)
 
 
-def _build_block(em, coeffs, quads, uses, own_input):
-    """Build one encoded operand block from resident quadrant blocks.
+def _build_operand(em, coeffs, views, dying):
+    """Build one child operand block from resident source blocks.
 
-    Returns (view, owned).  Single +1 terms alias the quadrant; multi-term
-    combinations go in place over a source quadrant that dies here (when
-    owned), else into a fresh block.
+    Returns (block, owned).  A single +1 term aliases its source, which the
+    block owns only if the source is in ``dying`` (not needed after this
+    block).  Otherwise the combination is built in place over the first
+    dying source, or into a fresh block when none dies, and the other dying
+    sources are evicted.
     """
     terms = [(q, c) for q, c in enumerate(coeffs) if c]
     if len(terms) == 1 and terms[0][1] == 1:
         q = terms[0][0]
-        uses[q] -= 1
-        return quads[q], own_input and uses[q] == 0
+        return views[q], q in dying
     dst_q = None
-    if own_input:
-        for q, _ in terms:
-            if uses[q] == 1:
-                dst_q = q
-                break
     for q, _ in terms:
-        uses[q] -= 1
-    h = quads[0].rows
-    if dst_q is not None:
-        dv = quads[dst_q]
-        ordered = [(c, q) for q, c in terms if q == dst_q] + [(c, q) for q, c in terms if q != dst_q]
-    else:
+        if q in dying:
+            dst_q = q
+            break
+    if dst_q is None:
+        h = views[terms[0][0]].rows
         dv = em.alloc_view(h, h)
-        ordered = [(c, q) for q, c in terms]
-    for r in range(h):
-        for w in range(h):
-            srcs = [(c, quads[q].addr(r, w)) for c, q in ordered]
-            _emit_combo_word(em, dv.addr(r, w), srcs)
+    else:
+        dv = views[dst_q]
+        terms = [t for t in terms if t[0] == dst_q] + [t for t in terms if t[0] != dst_q]
+    for r in range(dv.rows):
+        for w in range(dv.cols):
+            _emit_combo_word(em, dv.addr(r, w), [(c, views[q].addr(r, w)) for q, c in terms])
     for q, _ in terms:
-        if own_input and uses[q] == 0 and q != dst_q:
-            em.evict_view(quads[q])
+        if q in dying and q != dst_q:
+            em.evict_view(views[q])
     return dv, True
 
 
@@ -399,10 +403,21 @@ def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
     out_q = [out.quadrant(*qd) for qd in QUADS]
     dec_remaining = [sum(1 for i in range(7) if scheme.decode[q][i]) for q in range(4)]
     dec_started = [False] * 4
+    sides = ((scheme.encode_a, aq, a_uses, own_a), (scheme.encode_b, bq, b_uses, own_b))
 
     for idx in order:
-        xa, own_xa = _build_block(em, scheme.encode_a[idx], aq, a_uses, own_a)
-        xb, own_xb = _build_block(em, scheme.encode_b[idx], bq, b_uses, own_b)
+        # an owned quadrant dies with the operand that uses it last
+        operands = []
+        for rows, quads, uses, own in sides:
+            coeffs = rows[idx]
+            dying = []
+            for q, c in enumerate(coeffs):
+                if c:
+                    uses[q] -= 1
+                    if own and uses[q] == 0:
+                        dying.append(q)
+            operands.append(_build_operand(em, coeffs, quads, dying))
+        (xa, own_xa), (xb, own_xb) = operands
         m_view = em.alloc_view(h, h)
         _incache_node(em, node.children[idx], xa, xb, m_view,
                       write_out=False, own_a=own_xa, own_b=own_xb)
@@ -444,7 +459,7 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
     memoized per (subtree, context) for the duration of one generation.
     """
     if isinstance(node, StandardLeaf):
-        _incache_leaf(em, node, a, b, out, write_out, own_a, own_b)
+        _incache_leaf(em, a, b, out, write_out, own_a, own_b)
         return
     key = (id(node), write_out, own_a, own_b, len(em.resident))
     memo = em.order_memo.get(key)
@@ -507,43 +522,23 @@ def _fused_order(scheme: FastScheme):
     return best
 
 
-def _build_from_slow(em, coeffs, quads, side, held):
-    """Build one operand block in cache, reading quadrants from slow memory.
-
-    ``held`` maps (side, quad) to a resident pristine quadrant block from
-    the previous child; entries are consumed here.  Multi-term combos go in
-    place over the first source block (its slow copy stays intact).
-    """
-    terms = [(q, c) for q, c in enumerate(coeffs) if c]
-    views = {}
-    for q, _ in terms:
-        key = (side, q)
-        if key in held:
-            views[q] = held.pop(key)
-        else:
-            em.read_view(quads[q])
-            views[q] = quads[q]
-    if len(terms) == 1 and terms[0][1] == 1:
-        return views[terms[0][0]]
-    dst_q = terms[0][0]
-    dv = views[dst_q]
-    h = dv.rows
-    ordered = [(c, q) for q, c in terms]
-    for r in range(h):
-        for w in range(h):
-            srcs = [(c, views[q].addr(r, w)) for c, q in ordered]
-            _emit_combo_word(em, dv.addr(r, w), srcs)
-    for q, _ in terms[1:]:
-        if views[q] is not dv:
-            em.evict_view(views[q])
-    return dv
-
-
 def _fused_child(em, scheme, idx, child, aq, bq, m_view, held, next_idx, write_out=True):
     """Run one child of a streaming fast node entirely in cache, building
-    its operands straight from the parent's quadrant arrays."""
-    xa = _build_from_slow(em, scheme.encode_a[idx], aq, "A", held)
-    xb = _build_from_slow(em, scheme.encode_b[idx], bq, "B", held)
+    its operands straight from the parent's quadrant arrays.
+
+    ``held`` maps (side, quad) to a pristine quadrant block the previous
+    child left resident; those entries are consumed, every other term is
+    read.  Operands are built over their sources, whose slow copies stay
+    intact.
+    """
+    operands = []
+    for side, coeffs, quads in (("A", scheme.encode_a[idx], aq), ("B", scheme.encode_b[idx], bq)):
+        terms = [q for q, c in enumerate(coeffs) if c]
+        for q in terms:
+            if held.pop((side, q), None) is None:
+                em.read_view(quads[q])
+        operands.append(_build_operand(em, coeffs, quads, terms)[0])
+    xa, xb = operands
     keep = []
     if next_idx is not None:
         qa = _single_plus_quad(scheme.encode_a[idx])
@@ -559,101 +554,55 @@ def _fused_child(em, scheme, idx, child, aq, bq, m_view, held, next_idx, write_o
         held[(side, q)] = view
 
 
-def _stream_encode(em, src_view, enc_rows, indices, dst_views):
-    """Materialize the encoded operand blocks for ``indices`` in slow
-    memory with one synchronized pass over the source quadrants."""
-    h = src_view.rows // 2
-    quads = [src_view.quadrant(*qd) for qd in QUADS]
-    union = sorted({q for i in indices for q, c in enumerate(enc_rows[i]) if c})
-    if em.M >= len(union) + 2:
-        seg_cap = max(1, (em.M - 1) // (len(union) + 1))
-        for r in range(h):
-            for s0 in range(0, h, seg_cap):
-                seg = min(seg_cap, h - s0)
-                for q in union:
-                    em.read_run(quads[q].row_start(r) + s0, seg)
-                for i in indices:
-                    terms = [(c, q) for q, c in enumerate(enc_rows[i]) if c]
-                    dbase = dst_views[i].row_start(r) + s0
-                    for w in range(seg):
-                        srcs = [(c, quads[q].row_start(r) + s0 + w) for c, q in terms]
-                        _emit_combo_word(em, dbase + w, srcs)
-                    em.write_run(dbase, seg)
-                    for w in range(seg):
-                        em.evict(dbase + w)
-                for q in union:
-                    base = quads[q].row_start(r) + s0
-                    for w in range(seg):
-                        em.evict(base + w)
-    else:
-        # tiny cache: build each destination word by itself
-        for i in indices:
-            terms = [(c, q) for q, c in enumerate(enc_rows[i]) if c]
-            for r in range(h):
-                for w in range(h):
-                    dst = dst_views[i].addr(r, w)
-                    first = True
-                    for c, q in terms:
-                        srcw = quads[q].addr(r, w)
-                        em.read_run(srcw, 1)
-                        if first:
-                            em.compute(dst, OP_CPY if c == 1 else OP_NEG, srcw)
-                            first = False
-                        else:
-                            em.compute(dst, OP_ADD if c == 1 else OP_SUB, dst, srcw)
-                        em.evict(srcw)
-                    em.write_run(dst, 1)
-                    em.evict(dst)
+def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
+    """``dsts[k] <- sum_j rows[k][j] * srcs[j]`` over equal square blocks,
+    written to slow memory in one synchronized pass over the sources.
 
-
-def _stream_decode(em, scheme, m_views, cv, resident_m=frozenset()):
-    """Accumulate the node's output quadrants from the seven sub-products.
-
-    Children in ``resident_m`` left their output in cache at the view's
-    addresses; their words are consumed without a read pass.
+    Sources in ``resident`` are already in cache at their view's addresses
+    and are consumed without a read.  When a segment of every streamed
+    source plus one destination segment fits beside them, rows are streamed
+    in segments; otherwise (a tiny cache, which callers only reach with
+    nothing resident) each destination word is built by itself.
     """
-    h = m_views[0].rows
-    out_q = [cv.quadrant(*qd) for qd in QUADS]
-    resident_words = sum(m_views[i].words for i in resident_m)
-    if em.M >= resident_words + 9:
-        seg_cap = max(1, (em.M - 1 - resident_words) // (8 - len(resident_m)))
+    h = dsts[0].rows
+    used = sorted({j for row in rows for j, c in enumerate(row) if c})
+    streamed = [j for j in used if j not in resident]
+    resident_words = sum(srcs[j].words for j in resident)
+    terms = [[(c, j) for j, c in enumerate(row) if c] for row in rows]
+    if em.M >= resident_words + len(streamed) + 2:
+        seg_cap = (em.M - 1 - resident_words) // (len(streamed) + 1)
         for r in range(h):
             for s0 in range(0, h, seg_cap):
                 seg = min(seg_cap, h - s0)
-                for i in range(7):
-                    if i not in resident_m:
-                        em.read_run(m_views[i].row_start(r) + s0, seg)
-                for q in range(4):
-                    terms = [(c, i) for i, c in enumerate(scheme.decode[q]) if c]
-                    dbase = out_q[q].row_start(r) + s0
+                for j in streamed:
+                    em.read_run(srcs[j].row_start(r) + s0, seg)
+                for dst, dst_terms in zip(dsts, terms):
+                    dbase = dst.row_start(r) + s0
                     for w in range(seg):
-                        srcs = [(c, m_views[i].row_start(r) + s0 + w) for c, i in terms]
-                        _emit_combo_word(em, dbase + w, srcs)
+                        _emit_combo_word(em, dbase + w,
+                                         [(c, srcs[j].row_start(r) + s0 + w) for c, j in dst_terms])
                     em.write_run(dbase, seg)
                     for w in range(seg):
                         em.evict(dbase + w)
-                for i in range(7):
-                    base = m_views[i].row_start(r) + s0
+                for j in used:
+                    base = srcs[j].row_start(r) + s0
                     for w in range(seg):
                         em.evict(base + w)
     else:
-        for q in range(4):
-            terms = [(c, i) for i, c in enumerate(scheme.decode[q]) if c]
+        for dst, dst_terms in zip(dsts, terms):
             for r in range(h):
                 for w in range(h):
-                    dst = out_q[q].addr(r, w)
-                    first = True
-                    for c, i in terms:
-                        srcw = m_views[i].addr(r, w)
+                    d = dst.addr(r, w)
+                    for k, (c, j) in enumerate(dst_terms):
+                        srcw = srcs[j].addr(r, w)
                         em.read_run(srcw, 1)
-                        if first:
-                            em.compute(dst, OP_CPY if c == 1 else OP_NEG, srcw)
-                            first = False
+                        if k == 0:
+                            em.compute(d, OP_CPY if c == 1 else OP_NEG, srcw)
                         else:
-                            em.compute(dst, OP_ADD if c == 1 else OP_SUB, dst, srcw)
+                            em.compute(d, OP_ADD if c == 1 else OP_SUB, d, srcw)
                         em.evict(srcw)
-                    em.write_run(dst, 1)
-                    em.evict(dst)
+                    em.write_run(d, 1)
+                    em.evict(d)
 
 
 def _stream_fast(em, node, av, bv, cv):
@@ -700,13 +649,13 @@ def _stream_fast(em, node, av, bv, cv):
         em.evict_view(view)
     held.clear()
     if to_materialize:
-        xa_views = {i: em.alloc_view(h, h) for i in to_materialize}
-        xb_views = {i: em.alloc_view(h, h) for i in to_materialize}
-        _stream_encode(em, av, scheme.encode_a, to_materialize, xa_views)
-        _stream_encode(em, bv, scheme.encode_b, to_materialize, xb_views)
-        for idx in to_materialize:
-            _gen_node(em, node.children[idx], xa_views[idx], xb_views[idx], m_views[idx])
-    _stream_decode(em, scheme, m_views, cv, frozenset(resident_m))
+        xa_views = [em.alloc_view(h, h) for _ in to_materialize]
+        xb_views = [em.alloc_view(h, h) for _ in to_materialize]
+        _stream_combine(em, [scheme.encode_a[i] for i in to_materialize], aq, xa_views)
+        _stream_combine(em, [scheme.encode_b[i] for i in to_materialize], bq, xb_views)
+        for idx, xa, xb in zip(to_materialize, xa_views, xb_views):
+            _gen_node(em, node.children[idx], xa, xb, m_views[idx])
+    _stream_combine(em, scheme.decode, m_views, [cv.quadrant(*qd) for qd in QUADS], resident_m)
 
 
 def _gen_node(em, node, av, bv, cv):

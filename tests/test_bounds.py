@@ -250,9 +250,8 @@ def test_bound_report_json_round_trip():
     assert data["c"] == 0.38988157484
 
 
-def test_padded_flag():
+def test_bound_requires_plan_size():
     plan = uniform_plan(16, 4)
-    rep = sequential_bound(plan, 13, 4, 1)
-    assert rep.padded
-    with pytest.raises(ValueError):
-        sequential_bound(plan, 32, 4, 1)
+    for n in (13, 8, 32):
+        with pytest.raises(ValueError):
+            sequential_bound(plan, n, 4, 1)

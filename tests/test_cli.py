@@ -17,6 +17,10 @@ def test_verify_default_passes(capsys):
     assert main(["verify", "--max-vertices", "600"]) == 0
     out = capsys.readouterr().out
     assert "127 subset checks" in out
+    for scheme in ("strassen", "winograd"):
+        for side in ("A", "B"):
+            assert f"encoder {scheme}.Enc_{side}: PASS (127 subset checks)" in out
+        assert f"scheme {scheme} 2x2 correctness: PASS" in out
     assert "verify: PASS" in out
 
 
@@ -38,6 +42,22 @@ def test_verify_broken_scheme_fails(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("change", [
+    {"encode_a": [[1, 0, 0]] * 7},
+    {"decode": [[1, 0, 0, 0, 0, 0]] * 4},
+    {"encode_b": [[1, 0, 0, 2]] * 7},
+    {"encode_a": None},
+])
+def test_verify_malformed_scheme_exits_2(tmp_path, capsys, change):
+    scheme = {"id": "bad", "encode_a": [[1, 0, 0, 0]] * 7,
+              "encode_b": [[1, 0, 0, 0]] * 7, "decode": [[1, 0, 0, 0, 0, 0, 0]] * 4}
+    scheme.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in scheme.items() if v is not None}))
+    assert main(["verify", "--scheme-file", str(path), "--max-vertices", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bounds_json(plan_file, capsys):
@@ -74,6 +94,11 @@ def test_simulate(plan_file, tmp_path, capsys):
 
 def test_simulate_size_mismatch(plan_file, capsys):
     assert main(["simulate", "--plan", plan_file, "--n", "8", "--M", "12"]) == 2
+
+
+def test_bounds_size_mismatch(plan_file, capsys):
+    assert main(["bounds", "--plan", plan_file, "--n", "13", "--M", "4"]) == 2
+    assert "does not match n=13" in capsys.readouterr().err
 
 
 def test_sweep_config_errors():

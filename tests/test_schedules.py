@@ -1,13 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from hybridmm.bounds import sequential_bound
-from hybridmm.pebble import (MachineConfig, check_parsimonious, replay_values,
-                             simulate)
-from hybridmm.plans import (StandardLeaf, StandardVariant, random_plan,
-                            uniform_plan)
+from hybridmm.pebble import (MachineConfig, check_parsimonious, dump_schedule,
+                             replay_values, simulate)
+from hybridmm.plans import (STRASSEN, WINOGRAD, StandardLeaf, StandardVariant,
+                            random_plan, uniform_plan)
 from hybridmm.ringmat import Matrix, mat_mul_naive
 from hybridmm.schedules import gen_hybrid_schedule, gen_standard_blocked_schedule
 
@@ -162,3 +163,33 @@ def test_hybrid_deterministic():
 def test_generators_reject_bad_sizes():
     with pytest.raises(ValueError):
         gen_standard_blocked_schedule(6, MachineConfig(12, 1))
+
+
+# sha256 of dump_schedule, pinned so that refactors of the generators must
+# reproduce every move: tiny-cache word-wise encode/decode and held operands
+# (M=3, B=4), segmented streaming passes with a cache-resident decode source
+# (M=48), both schemes, the tiled loop and the full-resident loop.
+_PINNED_DUMPS = [
+    ("hybrid", STRASSEN, 16, 1, 3, 4,
+     "00395a544335278d2df148a20b6f682849b62193392b290c0a3c31b3dfdeb4be"),
+    ("hybrid", STRASSEN, 16, 2, 48, 1,
+     "3accc983818dea870631549fa0bdc1d61d01f35846c8275b54599b22e71b3280"),
+    ("hybrid", WINOGRAD, 16, 2, 12, 1,
+     "c5d4220d211f9763add883ffd4413fa59c86e7aba5011cc13e5b9a3d1b4a068c"),
+    ("hybrid", WINOGRAD, 8, 1, 20, 2,
+     "67ab7a02b8d9d7431093fcf94a8450c07411bc7ec47692d83e092b2e08aab033"),
+    ("blocked", None, 8, None, 12, 1,
+     "5d2abdcdaa1ff190d8ee7f79056ffa65307351a61fd69c2793201877acf124cc"),
+    ("blocked", None, 2, None, 16, 4,
+     "0af9f705cde6fa9ae9b1b5929852746c2e48d99010404c39d0adc03661babdfd"),
+]
+
+
+@pytest.mark.parametrize("gen,scheme,n,n0,m,b,digest", _PINNED_DUMPS)
+def test_generated_moves_pinned(gen, scheme, n, n0, m, b, digest):
+    cfg = MachineConfig(m, b)
+    if gen == "hybrid":
+        sched = gen_hybrid_schedule(uniform_plan(n, n0, scheme), cfg)
+    else:
+        sched = gen_standard_blocked_schedule(n, cfg)
+    assert hashlib.sha256(dump_schedule(sched).encode()).hexdigest() == digest
