@@ -11,7 +11,7 @@ from .plans import (SCHEMES, STRASSEN, WINOGRAD, FastNode, FastScheme,
                     PlanParseError, RecursionPlan, StandardLeaf, StandardVariant,
                     parse_plan, plan_stats, random_plan, serialize_plan,
                     uniform_plan)
-from .engine import ExecTrace, execute, execute_stacked, execute_standard_leaf
+from .engine import ExecTrace, execute, execute_stacked
 from .pebble import (IoStats, MachineConfig, MemoryLayout, ParsimonyReport,
                      Schedule, ScheduleError, check_parsimonious, dump_schedule,
                      parse_schedule, replay_values, simulate)

@@ -54,7 +54,7 @@ class Cdag:
     sub_cdag_map: list = field(default_factory=list)  # vertex -> plan path
     node_inputs: dict = field(default_factory=dict)  # path -> (a_grid, b_grid)
     node_outputs: dict = field(default_factory=dict)  # path -> grid
-    leaf_products: dict = field(default_factory=dict)  # path -> {(i,k,j): vid}
+    elem_products: dict = field(default_factory=dict)  # path -> {(i,k,j): vid}
     _succ: list = None
     _pred: list = None
 
@@ -184,7 +184,7 @@ def _build_leaf(g: Cdag, node: StandardLeaf, path, a_grid, b_grid):
                 g.add_edge(a_grid[i][k], p)
                 g.add_edge(b_grid[k][j], p)
                 products[(i, k, j)] = p
-    g.leaf_products[path] = products
+    g.elem_products[path] = products
     tree = (_sum_tree_iterative if node.variant is StandardVariant.ITERATIVE_DEF
             else _sum_tree_balanced)
     out = [[None] * s for _ in range(s)]
@@ -455,14 +455,26 @@ def min_dominator_size_exhaustive(cdag: Cdag, targets, sources) -> int:
 
 @dataclass
 class DominatorCheckReport:
-    passed: bool
-    checked: int
-    skipped: int
-    failures: list  # (description, observed, required)
-    min_slack: float  # min over samples of observed - required
+    passed: bool = True
+    checked: int = 0
+    skipped: int = 0
+    failures: list = field(default_factory=list)  # (description, observed, required)
+    min_slack: float = 0.0  # min over samples of observed - required; 0.0 if none
 
     def __bool__(self):
         return self.passed
+
+    def record(self, description: str, observed: int, required):
+        """Tally one checked sample.  The tolerance absorbs float rounding
+        in the square-root Type 1 bounds; against the integer and
+        half-integer requirements it changes nothing."""
+        slack = observed - required
+        if not self.checked or slack < self.min_slack:
+            self.min_slack = slack
+        self.checked += 1
+        if observed + 1e-9 < required:
+            self.failures.append((description, observed, required))
+            self.passed = False
 
 
 def _type2_output_paths(cdag: Cdag, m: int):
@@ -496,22 +508,11 @@ def verify_dominator_type2(cdag: Cdag, m: int, max_samples: int = 64,
         for _ in range(max_samples):
             size = rng.randint(1, min(cap, len(z_all)))
             samples.append(rng.sample(z_all, size))
-    failures = []
-    min_slack = None
-    checked = 0
+    report = DominatorCheckReport()
     for z in samples:
-        if not z or len(z) > cap:
-            continue
-        checked += 1
-        dom = min_dominator_size(cdag, z, inputs)
-        required = len(z) / 2
-        slack = dom - required
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if dom < required:
-            failures.append((f"|Z|={len(z)}", dom, required))
-    return DominatorCheckReport(not failures, checked, 0, failures,
-                                min_slack if min_slack is not None else 0.0)
+        if z and len(z) <= cap:
+            report.record(f"|Z|={len(z)}", min_dominator_size(cdag, z, inputs), len(z) / 2)
+    return report
 
 
 def verify_dominator_type1(cdag: Cdag, m: int, max_samples: int = 48,
@@ -528,10 +529,7 @@ def verify_dominator_type1(cdag: Cdag, m: int, max_samples: int = 48,
     msps = [d for d in enumerate_msps(cdag.plan, m) if d.msp_type == 1]
     inputs = cdag.global_inputs()
     rng = random.Random(seed)
-    failures = []
-    min_slack = None
-    checked = 0
-    skipped = 0
+    report = DominatorCheckReport()
 
     y_sets = []
     for d in msps:
@@ -549,24 +547,18 @@ def verify_dominator_type1(cdag: Cdag, m: int, max_samples: int = 48,
         for parts in samples:
             y = [v for part in parts for v in part]
             if not y:
-                skipped += 1
+                report.skipped += 1
                 continue
-            checked += 1
-            dom = min_dominator_size(cdag, y, inputs)
             sizes = [len(part) for part in parts if part]
             bound_flat = sum(sizes) / math.sqrt(len(sizes))
             bound_l2 = math.sqrt(sum(s * s for s in sizes))
-            required = min(2 * m, max(bound_flat, bound_l2))
-            slack = dom - required
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-            if dom + 1e-9 < required:
-                failures.append((f"input subset sizes={sizes}", dom, required))
+            report.record(f"input subset sizes={sizes}", min_dominator_size(cdag, y, inputs),
+                          min(2 * m, max(bound_flat, bound_l2)))
 
     for d in msps:
-        prods = cdag.leaf_products.get(d.path)
+        prods = cdag.elem_products.get(d.path)
         if prods is None:
-            skipped += 1
+            report.skipped += 1
             continue
         ag, bg = cdag.node_inputs[d.path]
         y_sources = _flatten(ag) + _flatten(bg)
@@ -580,17 +572,9 @@ def verify_dominator_type1(cdag: Cdag, m: int, max_samples: int = 48,
         for t_keys in samples:
             if not t_keys:
                 continue
-            checked += 1
-            targets = [prods[k] for k in t_keys]
             a_touched = {(i, k) for i, k, j in t_keys}
             b_touched = {(k, j) for i, k, j in t_keys}
-            required = max(len(a_touched), len(b_touched))
-            dom = min_dominator_size(cdag, targets, y_sources)
-            slack = dom - required
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-            if dom < required:
-                failures.append((f"product subset |T'|={len(t_keys)}", dom, required))
-
-    return DominatorCheckReport(not failures, checked, skipped, failures,
-                                min_slack if min_slack is not None else 0.0)
+            dom = min_dominator_size(cdag, [prods[k] for k in t_keys], y_sources)
+            report.record(f"product subset |T'|={len(t_keys)}", dom,
+                          max(len(a_touched), len(b_touched)))
+    return report

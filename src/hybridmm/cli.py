@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .bounds import sequential_bound, parallel_bound, uniform_closed_form
@@ -222,9 +223,13 @@ def cmd_simulate(args) -> int:
         print(f"error: plan size {plan.size} does not match --n {args.n}", file=sys.stderr)
         return 2
     cfg = MachineConfig(args.M, args.B)
-    sched = gen_hybrid_schedule(plan, cfg)
-    stats = simulate(sched, cfg)
-    pars = check_parsimonious(sched)
+    # an unwritable dump path fails before any schedule work
+    with (open(args.dump_schedule, "w") if args.dump_schedule else nullcontext()) as dump:
+        sched = gen_hybrid_schedule(plan, cfg)
+        stats = simulate(sched, cfg)
+        pars = check_parsimonious(sched)
+        if dump:
+            dump.write(dump_schedule(sched))
     out = {
         "label": sched.label,
         "moves": len(sched.moves),
@@ -235,9 +240,6 @@ def cmd_simulate(args) -> int:
         "computes": stats.computes,
         "parsimonious": pars.ok,
     }
-    if args.dump_schedule:
-        with open(args.dump_schedule, "w") as fh:
-            fh.write(dump_schedule(sched))
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -5,11 +5,11 @@ are broadcast through untouched, so a whole batch of matrix pairs can be run
 through one plan in a single tree walk. ``execute`` is the single-pair
 surface; ``execute_stacked`` exposes the same core for bulk verification.
 
-Alongside the product the walk records a trace of block-level events
-(encodes, leaf multiplications, decodes) and per-leaf product counts.  No
-other module reads the trace; it is returned so that callers can check a
-walk against the plan, e.g. its leaf count against ``plan_stats`` and its
-elementary products against the bound's |T|.
+Alongside the product the walk records the size of every standard leaf it
+multiplies, in depth-first order.  No other module reads this trace; it is
+returned so that callers can check a walk against the plan, e.g. its leaf
+count against ``plan_stats`` and its elementary products against the
+bound's |T|.
 """
 
 from __future__ import annotations
@@ -19,33 +19,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .plans import RecursionPlan, StandardLeaf, StandardVariant
-from .ringmat import DEFAULT_MODULUS, Matrix, matmul_mod
-
-BLOCK_ENCODE = "BLOCK_ENCODE"
-LEAF_MUL = "LEAF_MUL"
-BLOCK_DECODE = "BLOCK_DECODE"
+from .ringmat import DEFAULT_MODULUS, Matrix, _check_exact, matmul_mod
 
 
 @dataclass
 class ExecTrace:
-    """Ordered block-level events plus per-leaf elementary-product counts,
-    for checking a walk against its plan; the schedule generators and the
-    bound code work from the plan itself, not from this trace.
+    """Sizes of the standard leaves a walk multiplied, in depth-first order,
+    for checking the walk against its plan; the schedule generators and the
+    bound code work from the plan itself, not from this trace."""
 
-    Events are tuples:
-      (BLOCK_ENCODE, level, factor, child_index)   factor in {"A", "B"}
-      (LEAF_MUL, leaf_id, n_leaf)
-      (BLOCK_DECODE, level, quadrant)
-    """
-
-    events: list = field(default_factory=list)
-    leaf_products: list = field(default_factory=list)  # (leaf_id, n_leaf)
+    leaf_sizes: list = field(default_factory=list)
 
     def leaf_mul_count(self) -> int:
-        return len(self.leaf_products)
+        return len(self.leaf_sizes)
 
     def total_elementary_products(self) -> int:
-        return sum(s ** 3 for _, s in self.leaf_products)
+        return sum(s ** 3 for s in self.leaf_sizes)
 
 
 def _quads(x: np.ndarray):
@@ -93,18 +82,9 @@ def _standard_kernel(variant: StandardVariant, a, b, modulus):
     return matmul_mod(a, b, modulus)
 
 
-def execute_standard_leaf(variant: StandardVariant, a: Matrix, b: Matrix) -> Matrix:
-    """Standard-class product; both variants agree exactly on the values."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    return Matrix(_standard_kernel(variant, a.data, b.data, a.modulus), a.modulus)
-
-
-def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, level: int):
+def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace):
     if isinstance(node, StandardLeaf):
-        leaf_id = len(trace.leaf_products)
-        trace.events.append((LEAF_MUL, leaf_id, node.size))
-        trace.leaf_products.append((leaf_id, node.size))
+        trace.leaf_sizes.append(node.size)
         return _standard_kernel(node.variant, a, b, modulus)
 
     scheme = node.scheme
@@ -112,11 +92,9 @@ def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, level: int):
     bq = _quads(b)
     products = []
     for i, child in enumerate(node.children):
-        trace.events.append((BLOCK_ENCODE, level, "A", i))
         xa = _combine(scheme.encode_a[i], aq, modulus)
-        trace.events.append((BLOCK_ENCODE, level, "B", i))
         xb = _combine(scheme.encode_b[i], bq, modulus)
-        products.append(_run(child, xa, xb, modulus, trace, level + 1))
+        products.append(_run(child, xa, xb, modulus, trace))
 
     s = node.size
     h = s // 2
@@ -124,7 +102,6 @@ def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, level: int):
     slices = ((slice(None, h), slice(None, h)), (slice(None, h), slice(h, None)),
               (slice(h, None), slice(None, h)), (slice(h, None), slice(h, None)))
     for q in range(4):
-        trace.events.append((BLOCK_DECODE, level, q))
         out[(..., *slices[q])] = _combine(scheme.decode[q], products, modulus)
     return out
 
@@ -134,12 +111,15 @@ def execute_stacked(plan: RecursionPlan, a: np.ndarray, b: np.ndarray,
     """Run the plan over stacked operands of shape (..., n, n).
 
     Returns (product array, trace). The trace describes the single tree
-    walk, which is shared by every matrix pair in the stack.
+    walk, which is shared by every matrix pair in the stack.  Raises
+    ValueError where ``matmul_mod`` would not be exact: a modulus of 2**31
+    or more, or a plan larger than 2**16.
     """
+    _check_exact(modulus, plan.size)
     if a.shape != b.shape or a.shape[-1] != plan.size or a.shape[-2] != plan.size:
         raise ValueError(f"operand shape {a.shape} does not match plan size {plan.size}")
     trace = ExecTrace()
-    out = _run(plan, a % modulus, b % modulus, modulus, trace, 0)
+    out = _run(plan, a % modulus, b % modulus, modulus, trace)
     return out, trace
 
 

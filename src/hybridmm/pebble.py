@@ -76,9 +76,6 @@ class MemoryLayout:
     def input_range(self):
         return range(0, 2 * self.n * self.n)
 
-    def output_range(self):
-        return range(2 * self.n * self.n, 3 * self.n * self.n)
-
 
 @dataclass
 class Schedule:
@@ -109,15 +106,13 @@ class ScheduleError(Exception):
         super().__init__(f"{kind} at step {step}: {msg}")
 
 
-def simulate(schedule: Schedule, cfg: MachineConfig, input_layout=None) -> IoStats:
+def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
     """Validate the schedule under cfg and return its I/O statistics.
 
-    ``input_layout`` is the set/range of addresses initially defined in slow
-    memory; defaults to the 2n^2 input words of the schedule's layout.
+    Only the 2n^2 input words of the schedule's layout start out defined
+    in slow memory.
     """
-    if input_layout is None:
-        input_layout = schedule.layout.input_range()
-    slow = set(input_layout)
+    slow = set(schedule.layout.input_range())
     cache = set()
     m_cap = cfg.M
     b_cap = cfg.B

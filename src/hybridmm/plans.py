@@ -69,13 +69,6 @@ class FastScheme:
             if len({tuple(r) for r in rows}) != 7:
                 raise ValueError(f"{name} has two identical rows")
 
-    def support_a(self, i: int):
-        """Quadrant indices feeding the left operand of sub-problem i."""
-        return tuple(q for q, c in enumerate(self.encode_a[i]) if c != 0)
-
-    def support_b(self, i: int):
-        return tuple(q for q, c in enumerate(self.encode_b[i]) if c != 0)
-
 
 def _rows(m):
     return tuple(tuple(r) for r in m)
@@ -223,9 +216,6 @@ class PlanStats:
     standard_leaves: int
     leaf_sizes: dict
 
-    def __iter__(self):  # convenient unpacking in tests
-        return iter((self.fast_nodes, self.standard_leaves, self.leaf_sizes))
-
 
 def plan_stats(plan: RecursionPlan) -> PlanStats:
     """Exhaustive node counts; immune to shared subtrees."""
@@ -244,6 +234,12 @@ def plan_stats(plan: RecursionPlan) -> PlanStats:
     return PlanStats(fast, leaves, dict(sizes))
 
 
+# Fast nodes nest at most this deep in plan text.  A fast node at depth d
+# needs at least 7^d leaves, so no plan that fits in memory is refused, and
+# the recursive parser stays far from Python's recursion limit.
+MAX_PLAN_DEPTH = 40
+
+
 class PlanParseError(ValueError):
     def __init__(self, pos: int, expected: str, got: str):
         self.pos = pos
@@ -258,7 +254,10 @@ def serialize_plan(plan: RecursionPlan) -> str:
 
 
 def parse_plan(text: str) -> RecursionPlan:
-    """Parse the plan text format; errors carry the offending position."""
+    """Parse the plan text format; errors carry the offending position.
+
+    Fast nodes nested more than ``MAX_PLAN_DEPTH`` deep are a parse error.
+    """
     s = text
     pos = 0
 
@@ -295,7 +294,7 @@ def parse_plan(text: str) -> RecursionPlan:
             raise PlanParseError(start, f"one of {sorted(options)}", name or peek())
         return name
 
-    def parse_node() -> RecursionPlan:
+    def parse_node(depth: int) -> RecursionPlan:
         nonlocal pos
         skip_ws()
         if peek() == "S":
@@ -309,6 +308,9 @@ def parse_plan(text: str) -> RecursionPlan:
                 raise PlanParseError(pos, "power-of-two leaf size", str(n))
             return StandardLeaf(variant, n)
         if peek() == "F":
+            if depth == MAX_PLAN_DEPTH:
+                raise PlanParseError(
+                    pos, f"'S' (fast nodes nest at most {MAX_PLAN_DEPTH} deep)", "F")
             expect("F")
             expect("[")
             scheme = SCHEMES[parse_name(set(SCHEMES))]
@@ -316,13 +318,13 @@ def parse_plan(text: str) -> RecursionPlan:
             expect("(")
             children = []
             for i in range(7):
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
             skip_ws()
             expect(")")
             return FastNode(scheme, tuple(children))
         raise PlanParseError(pos, "'S' or 'F'", peek())
 
-    node = parse_node()
+    node = parse_node(0)
     skip_ws()
     if pos != len(s):
         raise PlanParseError(pos, "<end>", peek())

@@ -6,8 +6,9 @@ floating point anywhere and therefore no tolerance to pick.
 
 Matrices are square, row-major, immutable, and backed by int64 numpy arrays.
 The multiplication kernel splits one factor into high/low 16-bit halves so
-that every intermediate sum stays below 2**63 for side lengths up to 2**16;
-the result is the exact product mod p.
+that every intermediate sum stays below 2**63 for moduli below 2**31 and
+inner dimensions up to 2**16; the result is the exact product mod p.
+Outside those limits ``matmul_mod`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -108,13 +109,24 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix((a.data - b.data) % a.modulus, a.modulus)
 
 
+def _check_exact(modulus: int, inner: int):
+    """Raise ValueError unless ``matmul_mod`` is exact for this modulus and
+    inner dimension."""
+    if modulus >= 1 << 31:
+        raise ValueError(f"modulus {modulus} is not below 2**31; int64 products would overflow")
+    if inner > 1 << 16:
+        raise ValueError(f"inner dimension {inner} exceeds 2**16; int64 sums would overflow")
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact stacked matmul of int64 arrays with entries in [0, p).
 
     Splitting b into 16-bit halves keeps every dot-product accumulation
-    below 2**63 for inner dimensions up to 2**16, so the computation is
-    exact integer arithmetic throughout.
+    below 2**63 for p < 2**31 and inner dimensions up to 2**16, so the
+    computation is exact integer arithmetic throughout; outside those
+    limits it raises ValueError.
     """
+    _check_exact(modulus, a.shape[-1])
     b_hi, b_lo = np.divmod(b, 1 << 16)
     hi = np.matmul(a, b_hi) % modulus
     lo = np.matmul(a, b_lo) % modulus

@@ -380,17 +380,10 @@ def _build_operand(em, coeffs, views, dying):
     return dv, True
 
 
-_STRASSEN_TIGHT_ORDER = (6, 4, 3, 1, 5, 0, 2)  # keeps peak residency near 3*s^2
-
-
-@lru_cache(maxsize=None)
-def _incache_order_candidates(scheme_id: str):
-    cands = []
-    if scheme_id == "strassen":
-        cands.append(_STRASSEN_TIGHT_ORDER)
-    cands.append(tuple(range(7)))
-    cands.append(tuple(reversed(range(7))))
-    return tuple(cands)
+# fixed child orders tried before the exhaustive search, by scheme id; the
+# first Strassen order keeps peak residency near 3*s^2
+_NATURAL_ORDERS = (tuple(range(7)), tuple(reversed(range(7))))
+_INCACHE_ORDERS = {"strassen": ((6, 4, 3, 1, 5, 0, 2),) + _NATURAL_ORDERS}
 
 
 def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
@@ -465,28 +458,22 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
     memo = em.order_memo.get(key)
     if memo == "infeasible":
         raise _Budget()
-
-    def attempt(order):
+    orders = itertools.chain((memo,) if memo else (),
+                             _INCACHE_ORDERS.get(node.scheme.id, _NATURAL_ORDERS),
+                             itertools.permutations(range(7)))
+    tried = set()
+    for order in orders:
+        if order in tried:
+            continue
+        tried.add(order)
         chk = em.checkpoint()
         try:
             _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order)
-            return True
         except _Budget:
             em.rollback(chk)
-            return False
-
-    if memo is not None and attempt(memo):
+            continue
+        em.order_memo[key] = order
         return
-    tried = {memo} if memo is not None else set()
-    for order in _incache_order_candidates(node.scheme.id):
-        if order not in tried and attempt(order):
-            em.order_memo[key] = order
-            return
-        tried.add(order)
-    for order in itertools.permutations(range(7)):
-        if order not in tried and attempt(order):
-            em.order_memo[key] = order
-            return
     em.order_memo[key] = "infeasible"
     raise _Budget()
 

@@ -305,7 +305,7 @@ def test_dominator_type1_frozen_examples():
     dom = min_dominator_size(g, y, g.global_inputs())
     assert dom >= min(2 * 1, 32)
     # single product: both touched sets are singletons
-    prods = g.leaf_products[()]
+    prods = g.elem_products[()]
     assert min_dominator_size(g, [prods[(0, 0, 0)]], y) >= 1
     # a full dot product in a 4x4 leaf touches a whole row of A
     targets = [prods[(0, k, 0)] for k in range(4)]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hybridmm import cli
 from hybridmm.cli import ConfigError, main, parse_sweep_config
 from hybridmm.plans import serialize_plan, uniform_plan
 
@@ -80,6 +81,13 @@ def test_bounds_parse_error(tmp_path, capsys):
     assert main(["bounds", "--plan", str(bad), "--M", "4"]) == 2
 
 
+def test_bounds_deep_plan_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.plan"
+    deep.write_text("F[strassen](" * 1200 + "S[iterative,n=1]" + ")" * 1200)
+    assert main(["bounds", "--plan", str(deep), "--M", "4"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_simulate(plan_file, tmp_path, capsys):
     dump = tmp_path / "sched.txt"
     rc = main(["simulate", "--plan", plan_file, "--M", "12", "--B", "1",
@@ -90,6 +98,17 @@ def test_simulate(plan_file, tmp_path, capsys):
     assert data["io_total"] == data["reads"] + data["writes"]
     first = dump.read_text().splitlines()[0].split()
     assert first[0] in {"R", "W", "C", "E"}
+
+
+def test_simulate_unwritable_dump_fails_first(plan_file, tmp_path, monkeypatch, capsys):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("schedule generated before the dump path was opened")
+
+    monkeypatch.setattr(cli, "gen_hybrid_schedule", no_generation)
+    rc = main(["simulate", "--plan", plan_file, "--M", "12",
+               "--dump-schedule", str(tmp_path / "missing" / "sched.txt")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_size_mismatch(plan_file, capsys):

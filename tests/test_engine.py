@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from hybridmm.engine import (BLOCK_DECODE, BLOCK_ENCODE, LEAF_MUL, execute,
-                             execute_stacked, execute_standard_leaf)
+from hybridmm.engine import execute, execute_stacked
 from hybridmm.plans import (STRASSEN, WINOGRAD, StandardLeaf, StandardVariant,
                             plan_stats, random_plan, uniform_plan)
 from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, mat_mul_naive, matmul_mod
 
 IT = StandardVariant.ITERATIVE_DEF
 BR = StandardVariant.BLOCK_RECURSIVE
+
+
+def standard(variant, a, b):
+    return execute(StandardLeaf(variant, a.n), a, b)[0]
 
 
 def test_standard_leaf_matches_oracle():
@@ -40,16 +43,16 @@ def test_variants_agree():
     for _ in range(100):
         a = Matrix.random(8, rng)
         b = Matrix.random(8, rng)
-        assert execute_standard_leaf(IT, a, b) == execute_standard_leaf(BR, a, b)
+        assert standard(IT, a, b) == standard(BR, a, b)
 
 
 def test_standard_leaf_edge_cases():
     a = Matrix.from_rows([[7]])
     b = Matrix.from_rows([[9]])
-    assert execute_standard_leaf(IT, a, b) == Matrix.from_rows([[63]])
+    assert standard(IT, a, b) == Matrix.from_rows([[63]])
     rng = np.random.default_rng(3)
     m = Matrix.random(4, rng)
-    assert execute_standard_leaf(BR, m, Matrix.identity(4)) == m
+    assert standard(BR, m, Matrix.identity(4)) == m
 
 
 def test_size_mismatch_errors():
@@ -57,7 +60,7 @@ def test_size_mismatch_errors():
     with pytest.raises(ValueError):
         execute(uniform_plan(4, 1), Matrix.random(8, rng), Matrix.random(8, rng))
     with pytest.raises(ValueError):
-        execute_standard_leaf(IT, Matrix.random(4, rng), Matrix.random(2, rng))
+        execute(StandardLeaf(IT, 4), Matrix.random(4, rng), Matrix.random(2, rng))
 
 
 def test_trace_leaf_count_matches_plan_stats():
@@ -77,19 +80,6 @@ def test_trace_elementary_products():
     b = Matrix.random(8, rng)
     _, trace = execute(plan, a, b)
     assert trace.total_elementary_products() == 49 * 8
-
-
-def test_trace_event_shape():
-    rng = np.random.default_rng(7)
-    plan = uniform_plan(4, 2)
-    _, trace = execute(plan, Matrix.random(4, rng), Matrix.random(4, rng))
-    kinds = [e[0] for e in trace.events]
-    assert kinds.count(LEAF_MUL) == 7
-    assert kinds.count(BLOCK_ENCODE) == 14  # 7 children x 2 factors
-    assert kinds.count(BLOCK_DECODE) == 4
-    # encodes precede the child's leaf event, decodes come last
-    assert kinds[0] == BLOCK_ENCODE
-    assert kinds[-1] == BLOCK_DECODE
 
 
 @pytest.mark.parametrize("scheme", [STRASSEN, WINOGRAD])
@@ -114,3 +104,20 @@ def test_execute_agrees_with_stacked():
     for i in range(3):
         c, _ = execute(plan, Matrix(a[i]), Matrix(b[i]))
         assert np.array_equal(c.data, stacked[i])
+
+
+def test_exactness_limits_enforced():
+    # a 41-bit modulus overflows the int64 kernel; refuse it instead of
+    # returning wrong entries
+    p = (1 << 40) + 15
+    a = np.full((2, 8, 8), p - 1, dtype=np.int64)
+    for plan in (StandardLeaf(IT, 8), StandardLeaf(BR, 8), uniform_plan(8, 2)):
+        with pytest.raises(ValueError, match="modulus"):
+            execute_stacked(plan, a, a, p)
+    with pytest.raises(ValueError, match="inner dimension"):
+        execute_stacked(StandardLeaf(IT, 1 << 17), a, a)
+    # just below the limit the extreme entries still multiply exactly:
+    # 8 * (p-1)^2 = 8 mod p
+    top = np.full((2, 8, 8), DEFAULT_MODULUS - 1, dtype=np.int64)
+    out, _ = execute_stacked(uniform_plan(8, 2), top, top)
+    assert np.all(out == 8)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hybridmm.engine import execute
-from hybridmm.plans import (SCHEMES, STRASSEN, WINOGRAD, FastNode, FastScheme,
-                            PlanParseError, StandardLeaf, StandardVariant,
+from hybridmm.plans import (MAX_PLAN_DEPTH, SCHEMES, STRASSEN, WINOGRAD, FastNode,
+                            FastScheme, PlanParseError, StandardLeaf, StandardVariant,
                             parse_plan, plan_stats, random_plan, serialize_plan,
                             uniform_plan)
 from hybridmm.ringmat import Matrix, mat_mul_naive
@@ -46,9 +46,12 @@ def test_scheme_rejects_duplicate_rows():
 
 def test_strassen_supports_match_classical_formulas():
     # operand sets of the seven products, quadrants ordered 11,12,21,22
-    assert [STRASSEN.support_a(i) for i in range(7)] == [
+    def supports(rows):
+        return [tuple(q for q, c in enumerate(r) if c) for r in rows]
+
+    assert supports(STRASSEN.encode_a) == [
         (0, 3), (2, 3), (0,), (3,), (0, 1), (0, 2), (1, 3)]
-    assert [STRASSEN.support_b(i) for i in range(7)] == [
+    assert supports(STRASSEN.encode_b) == [
         (0, 3), (0,), (1, 3), (0, 2), (3,), (0, 1), (2, 3)]
 
 
@@ -159,6 +162,19 @@ def test_parse_errors_carry_position():
         parse_plan("X[?]")
     with pytest.raises(PlanParseError):
         parse_plan("S[iterative,n=3]")  # not a power of two
+
+
+def test_parse_caps_nesting_depth():
+    # fast nodes may nest MAX_PLAN_DEPTH deep: the text below fails only on
+    # its missing siblings, one level more fails on the depth itself
+    at_cap = "F[strassen](" * MAX_PLAN_DEPTH + "S[iterative,n=1]"
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan(at_cap)
+    assert exc.value.pos == len(at_cap)
+    with pytest.raises(PlanParseError) as exc:
+        parse_plan("F[strassen](" * (MAX_PLAN_DEPTH + 1) + "S[iterative,n=1]")
+    assert exc.value.pos == len("F[strassen](") * MAX_PLAN_DEPTH
+    assert "nest at most" in str(exc.value)
 
 
 def test_scheme_registry():

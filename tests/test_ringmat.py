@@ -68,6 +68,23 @@ def test_matmul_mod_no_overflow_with_extreme_entries():
     assert np.all(out == expected)
 
 
+def test_matmul_mod_exactness_limits():
+    # at the limits the int64 sums still fit
+    k = 1 << 16
+    a = np.full((1, k), P - 1, dtype=np.int64)
+    assert matmul_mod(a, a.T.copy(), P)[0, 0] == (k * (P - 1) * (P - 1)) % P
+    # past them the kernel refuses rather than return wrong entries
+    with pytest.raises(ValueError, match="inner dimension"):
+        matmul_mod(np.ones((1, k + 1), dtype=np.int64),
+                   np.ones((k + 1, 1), dtype=np.int64), P)
+    big = (1 << 40) + 15
+    m = np.full((8, 8), big - 1, dtype=np.int64)
+    with pytest.raises(ValueError, match="modulus"):
+        matmul_mod(m, m, big)
+    with pytest.raises(ValueError, match="modulus"):
+        mat_mul_naive(Matrix(m, big), Matrix(m, big))
+
+
 def test_bilinearity():
     rng = np.random.default_rng(3)
     a = Matrix.random(4, rng)

@@ -178,6 +178,13 @@ _PINNED_DUMPS = [
      "c5d4220d211f9763add883ffd4413fa59c86e7aba5011cc13e5b9a3d1b4a068c"),
     ("hybrid", WINOGRAD, 8, 1, 20, 2,
      "67ab7a02b8d9d7431093fcf94a8450c07411bc7ec47692d83e092b2e08aab033"),
+    # in-cache order search falls through to the permutations and memoizes
+    # an infeasible context
+    ("hybrid", WINOGRAD, 4, 1, 12, 1,
+     "3b21591c6c8c5edb8bfcb9e95fc68bd676f8021c9735ecbc2b473891babfa6ed"),
+    # every fixed order fails; a permutation is picked
+    ("hybrid", STRASSEN, 8, 2, 48, 1,
+     "156e6991872b828a2dd256ddc0f53747fb2f8bd1672083e0b26bead9db57e4b2"),
     ("blocked", None, 8, None, 12, 1,
      "5d2abdcdaa1ff190d8ee7f79056ffa65307351a61fd69c2793201877acf124cc"),
     ("blocked", None, 2, None, 16, 4,
