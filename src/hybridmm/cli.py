@@ -18,7 +18,8 @@ bounds --plan FILE --n N --M M --B B [--P P --Bm BM]
 
 simulate --plan FILE --n N --M M --B B [--dump-schedule FILE]
     Generate the hybrid schedule for the plan, simulate it, and print its
-    I/O statistics as JSON.
+    I/O statistics as JSON.  A plan whose schedule needs more than
+    ``MAX_SIMULATE_MOVES`` moves is refused (exit 2) before generating.
 
 sweep --config FILE [--out FILE]
     One CSV row per (plan, n, M, B) combining bound terms with measured
@@ -32,7 +33,8 @@ sweep --config FILE [--out FILE]
 
     ``plan`` is ``uniform``, ``random`` (uses ``p_fast`` and ``seed``
     lists), or ``file:PATH``.  Identical configs produce byte-identical
-    CSV.  Exits 1 if any measured I/O falls below its bound.
+    CSV.  Exits 1 if any measured I/O falls below its bound, and 2 before
+    any row if ``simulate`` would exceed ``MAX_SIMULATE_MOVES`` on a plan.
 
 Exit codes: 0 success, 1 verification/bound failure, 2 usage errors.
 """
@@ -52,8 +54,8 @@ from .cdag import (EncoderGraph, build_cdag, min_dominator_size,
                    verify_encoder_distinct_neighborhoods)
 from .engine import execute
 from .pebble import MachineConfig, check_parsimonious, dump_schedule, simulate
-from .plans import (SCHEMES, FastScheme, check_coefficients, parse_plan, random_plan,
-                    uniform_plan)
+from .plans import (SCHEMES, FastScheme, StandardLeaf, check_coefficients, parse_plan,
+                    random_plan, uniform_plan)
 from .ringmat import Matrix, is_pow2, mat_mul_naive
 from .schedules import gen_hybrid_schedule
 
@@ -217,11 +219,44 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# Generating, simulating and checking a schedule takes about 113 bytes a
+# move (measured at n=64, n0=1, M=3: 5.0M moves, 597 MB peak RSS), so this
+# many moves stay near 3.4 GB, half of a 7 GB machine.
+MAX_SIMULATE_MOVES = 30_000_000
+
+
+def _min_moves(plan, memo) -> int:
+    """A lower bound on the moves of a schedule for ``plan``: one compute for
+    each elementary product and each two-term addition, in the standard
+    leaves and in the encodes and decodes of the fast nodes.  Shared
+    subtrees are walked once and counted at every use."""
+    key = id(plan)
+    if key not in memo:
+        s = plan.size
+        if isinstance(plan, StandardLeaf):
+            memo[key] = 2 * s ** 3 - s * s
+        else:
+            sc = plan.scheme
+            adds = sum(max(sum(map(abs, row)) - 1, 0)
+                       for rows in (sc.encode_a, sc.encode_b, sc.decode) for row in rows)
+            memo[key] = adds * (s // 2) ** 2 + sum(_min_moves(c, memo) for c in plan.children)
+    return memo[key]
+
+
+def _check_simulate_size(plan):
+    moves = _min_moves(plan, {})
+    if moves > MAX_SIMULATE_MOVES:
+        raise ValueError(f"the schedule of a size-{plan.size} plan needs at least "
+                         f"{moves} moves, above the {MAX_SIMULATE_MOVES} that "
+                         f"simulate accepts")
+
+
 def cmd_simulate(args) -> int:
     plan = _load_plan(args.plan)
     if args.n and args.n != plan.size:
         print(f"error: plan size {plan.size} does not match --n {args.n}", file=sys.stderr)
         return 2
+    _check_simulate_size(plan)
     cfg = MachineConfig(args.M, args.B)
     # an unwritable dump path fails before any schedule work
     with (open(args.dump_schedule, "w") if args.dump_schedule else nullcontext()) as dump:
@@ -335,9 +370,13 @@ def _sweep_plans(cfg):
 
 def run_sweep(cfg, out_fh) -> bool:
     """Write CSV rows; returns False iff some measured I/O beat its bound."""
+    plans = list(_sweep_plans(cfg))
+    if "simulate" in cfg["commands"]:
+        for _, plan in plans:
+            _check_simulate_size(plan)
     ok = True
     out_fh.write(",".join(SWEEP_COLUMNS) + "\n")
-    for meta, plan in _sweep_plans(cfg):
+    for meta, plan in plans:
         n = meta["n"]
         for m in cfg["M"]:
             for b in cfg["B"]:

@@ -5,11 +5,21 @@ are broadcast through untouched, so a whole batch of matrix pairs can be run
 through one plan in a single tree walk. ``execute`` is the single-pair
 surface; ``execute_stacked`` exposes the same core for bulk verification.
 
-Alongside the product the walk records the size of every standard leaf it
-multiplies, in depth-first order.  No other module reads this trace; it is
-returned so that callers can check a walk against the plan, e.g. its leaf
-count against ``plan_stats`` and its elementary products against the
-bound's |T|.
+The walk is level-synchronous where a plan shares one subtree across all
+seven children of a fast node, as ``uniform_plan`` does: the seven encoded
+operand pairs are stacked on a new leading axis and the walk descends once,
+so a uniform plan costs one call per level instead of one per node.  A
+stacked operand may hold at most a quarter of the root operand's entries,
+the size of the first encoded operand of a depth-first walk; above that the
+seven children are walked one by one, each still carrying its leading axes,
+and stacking is tried again one level down.  Mixed children are always
+walked one by one.
+
+Alongside the product the walk records the sizes of the standard leaves it
+multiplies, in depth-first order, as runs of equal sizes.  No other module
+reads this trace; it is returned so that callers can check a walk against
+the plan, e.g. its leaf count against ``plan_stats`` and its elementary
+products against the bound's |T|.
 """
 
 from __future__ import annotations
@@ -25,16 +35,31 @@ from .ringmat import DEFAULT_MODULUS, Matrix, _check_exact, matmul_mod
 @dataclass
 class ExecTrace:
     """Sizes of the standard leaves a walk multiplied, in depth-first order,
-    for checking the walk against its plan; the schedule generators and the
-    bound code work from the plan itself, not from this trace."""
+    as ``(size, count)`` runs with no two neighbours of equal size, for
+    checking the walk against its plan; the schedule generators and the
+    bound code work from the plan itself, not from this trace.  A stacked
+    descent records one child's leaves and repeats them seven times, so the
+    trace grows with the number of runs, not of leaves."""
 
-    leaf_sizes: list = field(default_factory=list)
+    leaf_runs: list = field(default_factory=list)
+
+    def add(self, size: int, count: int = 1):
+        runs = self.leaf_runs
+        if runs and runs[-1][0] == size:
+            runs[-1] = (size, runs[-1][1] + count)
+        else:
+            runs.append((size, count))
+
+    def extend(self, other: "ExecTrace", times: int):
+        for _ in range(times):
+            for size, count in other.leaf_runs:
+                self.add(size, count)
 
     def leaf_mul_count(self) -> int:
-        return len(self.leaf_sizes)
+        return sum(c for _, c in self.leaf_runs)
 
     def total_elementary_products(self) -> int:
-        return sum(s ** 3 for s in self.leaf_sizes)
+        return sum(s ** 3 * c for s, c in self.leaf_runs)
 
 
 def _quads(x: np.ndarray):
@@ -82,19 +107,28 @@ def _standard_kernel(variant: StandardVariant, a, b, modulus):
     return matmul_mod(a, b, modulus)
 
 
-def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace):
+def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int):
+    """Product of the stacked operands ``a`` and ``b`` through ``node``.
+
+    ``limit`` is the most entries a stacked operand may hold."""
     if isinstance(node, StandardLeaf):
-        trace.leaf_sizes.append(node.size)
+        trace.add(node.size)
         return _standard_kernel(node.variant, a, b, modulus)
 
     scheme = node.scheme
     aq = _quads(a)
     bq = _quads(b)
-    products = []
-    for i, child in enumerate(node.children):
-        xa = _combine(scheme.encode_a[i], aq, modulus)
-        xb = _combine(scheme.encode_b[i], bq, modulus)
-        products.append(_run(child, xa, xb, modulus, trace))
+    child = node.children[0]
+    if all(c is child for c in node.children) and 7 * aq[0].size <= limit:
+        xa = np.stack([_combine(row, aq, modulus) for row in scheme.encode_a])
+        xb = np.stack([_combine(row, bq, modulus) for row in scheme.encode_b])
+        sub = ExecTrace()
+        products = _run(child, xa, xb, modulus, sub, limit)
+        trace.extend(sub, 7)
+    else:
+        products = [_run(c, _combine(scheme.encode_a[i], aq, modulus),
+                         _combine(scheme.encode_b[i], bq, modulus), modulus, trace, limit)
+                    for i, c in enumerate(node.children)]
 
     s = node.size
     h = s // 2
@@ -111,15 +145,18 @@ def execute_stacked(plan: RecursionPlan, a: np.ndarray, b: np.ndarray,
     """Run the plan over stacked operands of shape (..., n, n).
 
     Returns (product array, trace). The trace describes the single tree
-    walk, which is shared by every matrix pair in the stack.  Raises
-    ValueError where ``matmul_mod`` would not be exact: a modulus of 2**31
-    or more, or a plan larger than 2**16.
+    walk, which is shared by every matrix pair in the stack.  Where all
+    seven children of a fast node are one subtree, the walk descends once
+    on their stacked operands, as long as a stacked operand holds at most
+    ``a.size // 4`` entries; the peak memory stays that of a depth-first
+    walk.  Raises ValueError where ``matmul_mod`` would not be exact: a
+    modulus of 2**31 or more, or a plan larger than 2**16.
     """
     _check_exact(modulus, plan.size)
     if a.shape != b.shape or a.shape[-1] != plan.size or a.shape[-2] != plan.size:
         raise ValueError(f"operand shape {a.shape} does not match plan size {plan.size}")
     trace = ExecTrace()
-    out = _run(plan, a % modulus, b % modulus, modulus, trace)
+    out = _run(plan, a % modulus, b % modulus, modulus, trace, a.size // 4)
     return out, trace
 
 

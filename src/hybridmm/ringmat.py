@@ -133,14 +133,24 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return ((hi << 16) + lo) % modulus
 
 
+def matmul_pyint(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Stacked product C[..., i, j] = sum_k A[..., i, k] * B[..., k, j] mod p,
+    summed in Python integers.
+
+    It shares no code with ``matmul_mod`` and is exact at any modulus and
+    inner dimension, so it is the oracle the fast paths are checked against.
+    """
+    return np.matmul(a.astype(object), b.astype(object)) % modulus
+
+
 def mat_mul_naive(a: Matrix, b: Matrix) -> Matrix:
     """Definition-based product C[i][j] = sum_k A[i][k] * B[k][j].
 
     This is the correctness oracle for every other multiplication path in
-    the package.
+    the package (see ``matmul_pyint``).
     """
     _check_same_shape(a, b)
-    return Matrix(matmul_mod(a.data, b.data, a.modulus), a.modulus)
+    return Matrix(matmul_pyint(a.data, b.data, a.modulus), a.modulus)
 
 
 def is_pow2(n: int) -> bool:

@@ -25,7 +25,7 @@ from hybridmm.engine import execute, execute_stacked
 from hybridmm.pebble import MachineConfig, check_parsimonious, simulate
 from hybridmm.plans import (STRASSEN, StandardLeaf, StandardVariant,
                             random_plan, serialize_plan, uniform_plan)
-from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, matmul_mod
+from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, matmul_pyint
 from hybridmm.schedules import gen_hybrid_schedule, gen_standard_blocked_schedule
 
 IT = StandardVariant.ITERATIVE_DEF
@@ -57,7 +57,7 @@ def test_criterion_1_functional_correctness():
         plans.extend(random_plan(n, 0.5, seed=s) for s in range(20))
         a = rng.integers(0, DEFAULT_MODULUS, size=(pairs, n, n), dtype=np.int64)
         b = rng.integers(0, DEFAULT_MODULUS, size=(pairs, n, n), dtype=np.int64)
-        want = matmul_mod(a, b, DEFAULT_MODULUS)
+        want = matmul_pyint(a, b, DEFAULT_MODULUS)
         for plan in plans:
             got, _ = execute_stacked(plan, a, b)
             if not np.array_equal(got, want):

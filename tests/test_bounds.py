@@ -233,7 +233,7 @@ def test_trace_restricted_to_type1_paths():
         plan = random_plan(16, 0.6, seed=seed)
         _, trace = execute(plan, Matrix.random(16, rng), Matrix.random(16, rng))
         leaves = leaf_paths_in_dfs_order(plan)
-        assert [s for _, s in leaves] == trace.leaf_sizes
+        assert [s for _, s in leaves] == [s for s, c in trace.leaf_runs for _ in range(c)]
         m = 4
         type1_paths = {d.path for d in enumerate_msps(plan, m) if d.msp_type == 1}
         restricted = sum(size ** 3 for path, size in leaves if path in type1_paths)

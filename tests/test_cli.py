@@ -1,10 +1,13 @@
 import json
+import time
 
 import pytest
 
 from hybridmm import cli
 from hybridmm.cli import ConfigError, main, parse_sweep_config
-from hybridmm.plans import serialize_plan, uniform_plan
+from hybridmm.pebble import MachineConfig, simulate
+from hybridmm.plans import WINOGRAD, random_plan, serialize_plan, uniform_plan
+from hybridmm.schedules import gen_hybrid_schedule
 
 
 @pytest.fixture
@@ -109,6 +112,42 @@ def test_simulate_unwritable_dump_fails_first(plan_file, tmp_path, monkeypatch, 
                "--dump-schedule", str(tmp_path / "missing" / "sched.txt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _no_generation(*args, **kwargs):
+    raise AssertionError("schedule generated for a refused plan")
+
+
+def test_sweep_refuses_runaway_plan_before_generating(tmp_path, monkeypatch, capsys):
+    # uniform n=256, n0=1 needs about 40M moves at least; refused up front
+    monkeypatch.setattr(cli, "gen_hybrid_schedule", _no_generation)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("plan=uniform\nn=8,256\nn0=1\nM=3\nB=1\n")
+    t0 = time.perf_counter()
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size-256 plan needs at least" in captured.err
+
+
+def test_simulate_refuses_runaway_plan(tmp_path, monkeypatch, capsys):
+    # one standard leaf of size 256 computes 2*256^3 - 256^2 values
+    monkeypatch.setattr(cli, "gen_hybrid_schedule", _no_generation)
+    path = tmp_path / "leaf256.txt"
+    path.write_text("S[iterative,n=256]\n")
+    assert main(["simulate", "--plan", str(path), "--M", "3"]) == 2
+    assert f"above the {cli.MAX_SIMULATE_MOVES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan", [uniform_plan(8, 1), uniform_plan(16, 4, WINOGRAD),
+                                  random_plan(16, 0.6, seed=2)])
+def test_min_moves_is_a_lower_bound(plan):
+    for m in (3, 12, 48):
+        for b in (1, 4):
+            cfg = MachineConfig(m, b)
+            assert simulate(gen_hybrid_schedule(plan, cfg), cfg).computes >= \
+                cli._min_moves(plan, {})
 
 
 def test_simulate_size_mismatch(plan_file, capsys):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hybridmm.engine
 from hybridmm.engine import execute, execute_stacked
-from hybridmm.plans import (STRASSEN, WINOGRAD, StandardLeaf, StandardVariant,
+from hybridmm.plans import (STRASSEN, WINOGRAD, FastNode, StandardLeaf, StandardVariant,
                             plan_stats, random_plan, uniform_plan)
-from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, mat_mul_naive, matmul_mod
+from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, mat_mul_naive, matmul_pyint
 
 IT = StandardVariant.ITERATIVE_DEF
 BR = StandardVariant.BLOCK_RECURSIVE
@@ -35,7 +38,7 @@ def test_uniform_16_4_oracle_50_pairs():
     a = rng.integers(0, DEFAULT_MODULUS, size=(50, 16, 16), dtype=np.int64)
     b = rng.integers(0, DEFAULT_MODULUS, size=(50, 16, 16), dtype=np.int64)
     out, _ = execute_stacked(plan, a, b)
-    assert np.array_equal(out, matmul_mod(a, b, DEFAULT_MODULUS))
+    assert np.array_equal(out, matmul_pyint(a, b, DEFAULT_MODULUS))
 
 
 def test_variants_agree():
@@ -89,7 +92,7 @@ def test_oracle_equality_across_plans(scheme):
              random_plan(16, 0.7, seed=1, scheme=scheme)]
     a = rng.integers(0, DEFAULT_MODULUS, size=(20, 16, 16), dtype=np.int64)
     b = rng.integers(0, DEFAULT_MODULUS, size=(20, 16, 16), dtype=np.int64)
-    want = matmul_mod(a, b, DEFAULT_MODULUS)
+    want = matmul_pyint(a, b, DEFAULT_MODULUS)
     for plan in plans:
         out, _ = execute_stacked(plan, a, b)
         assert np.array_equal(out, want)
@@ -121,3 +124,94 @@ def test_exactness_limits_enforced():
     top = np.full((2, 8, 8), DEFAULT_MODULUS - 1, dtype=np.int64)
     out, _ = execute_stacked(uniform_plan(8, 2), top, top)
     assert np.all(out == 8)
+
+
+def _operands(seed, shape):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, DEFAULT_MODULUS, size=shape, dtype=np.int64),
+            rng.integers(0, DEFAULT_MODULUS, size=shape, dtype=np.int64))
+
+
+def _leaves_in_dfs_order(plan):
+    if isinstance(plan, StandardLeaf):
+        return [plan.size]
+    return [s for c in plan.children for s in _leaves_in_dfs_order(c)]
+
+
+def _expand(trace):
+    return [s for s, c in trace.leaf_runs for _ in range(c)]
+
+
+def _rows_match_oracle(out, a, b):
+    # eight rows spread over every quadrant, checked in Python integers
+    rows = slice(None, None, a.shape[-2] // 8)
+    return np.array_equal(out[rows], matmul_pyint(a[rows], b, DEFAULT_MODULUS))
+
+
+def test_stacked_walk_calls_leaf_kernel_once_per_level(monkeypatch):
+    # a shared subtree is walked once on the stack of its seven operand
+    # pairs: one kernel call covers many leaves
+    calls = []
+    kernel = hybridmm.engine._standard_kernel
+
+    def counting(variant, a, b, modulus):
+        calls.append(a.shape)
+        return kernel(variant, a, b, modulus)
+
+    monkeypatch.setattr(hybridmm.engine, "_standard_kernel", counting)
+    a, b = _operands(10, (256, 256))
+    out, trace = execute_stacked(uniform_plan(256, 4), a, b)
+    assert len(calls) <= 343  # 7^6 = 117,649 leaves
+    assert trace.leaf_runs == [(4, 7 ** 6)]
+    assert _rows_match_oracle(out, a, b)
+
+
+@pytest.mark.parametrize("n, n0, factor", [(512, 16, 7), (256, 1, 8)])
+def test_stacked_walk_memory_peak(n, n0, factor):
+    # stacks stay within a quarter of the input, so the peak stays that of
+    # a depth-first walk; the trace holds runs, not one entry per leaf
+    a, b = _operands(11, (n, n))
+    plan = uniform_plan(n, n0)
+    tracemalloc.start()
+    try:
+        out, trace = execute_stacked(plan, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= factor * a.nbytes
+    assert trace.leaf_mul_count() == plan_stats(plan).standard_leaves
+    assert _rows_match_oracle(out, a, b)
+
+
+@pytest.mark.parametrize("scheme", [STRASSEN, WINOGRAD])
+def test_stacked_walk_block_recursive_leaves(scheme):
+    a, b = _operands(12, (5, 32, 32))
+    want = matmul_pyint(a, b, DEFAULT_MODULUS)
+    for n0 in (1, 2, 4):
+        plan = uniform_plan(32, n0, scheme, BR)
+        out, trace = execute_stacked(plan, a, b)
+        assert np.array_equal(out, want)
+        assert trace.leaf_runs == [(n0, plan_stats(plan).standard_leaves)]
+
+
+def test_stacked_walk_two_leading_axes():
+    a, b = _operands(13, (2, 3, 32, 32))
+    out, _ = execute_stacked(uniform_plan(32, 2, WINOGRAD), a, b)
+    assert out.shape == (2, 3, 32, 32)
+    assert np.array_equal(out, matmul_pyint(a, b, DEFAULT_MODULUS))
+
+
+def test_mixed_children_with_shared_subtree():
+    # the root mixes a shared subtree with distinct ones; the shared one is
+    # stacked one level down, where its own children are mixed again
+    leaf2 = StandardLeaf(BR, 2)
+    mixed4 = FastNode(STRASSEN, (leaf2, uniform_plan(2, 1), leaf2, leaf2,
+                                 uniform_plan(2, 1), leaf2, leaf2))
+    shared16 = FastNode(STRASSEN, (FastNode(STRASSEN, (mixed4,) * 7),) * 7)
+    root = FastNode(WINOGRAD, (shared16, shared16, random_plan(16, 0.6, seed=4),
+                               shared16, StandardLeaf(IT, 16), shared16, shared16))
+    a, b = _operands(14, (3, 32, 32))
+    out, trace = execute_stacked(root, a, b)
+    assert np.array_equal(out, matmul_pyint(a, b, DEFAULT_MODULUS))
+    assert _expand(trace) == _leaves_in_dfs_order(root)
+    assert all(r[0] != s[0] for r, s in zip(trace.leaf_runs, trace.leaf_runs[1:]))
