@@ -11,12 +11,11 @@ verify
     registered ones; ``--max-vertices 0`` skips the dominator suites.
     Exits 1 on any failure, 2 on a malformed scheme file.
 
-bounds --plan FILE --n N --M M --B B [--P P --Bm BM]
+bounds --plan FILE --M M --B B [--P P --Bm BM]
     Evaluate the sequential (and optionally parallel) lower bound for the
-    plan; prints a JSON report.  ``--n`` defaults to, and must equal, the
-    plan size.
+    plan at its own size; prints a JSON report.
 
-simulate --plan FILE --n N --M M --B B [--dump-schedule FILE]
+simulate --plan FILE --M M --B B [--dump-schedule FILE]
     Generate the hybrid schedule for the plan, simulate it, and print its
     I/O statistics as JSON.  A plan whose schedule needs more than
     ``MAX_SIMULATE_MOVES`` moves is refused (exit 2) before generating.
@@ -31,10 +30,12 @@ sweep --config FILE [--out FILE]
         M=12,48
         B=1
 
-    ``plan`` is ``uniform``, ``random`` (uses ``p_fast`` and ``seed``
-    lists), or ``file:PATH``.  Identical configs produce byte-identical
-    CSV.  Exits 1 if any measured I/O falls below its bound, and 2 before
-    any row if ``simulate`` would exceed ``MAX_SIMULATE_MOVES`` on a plan.
+    ``plan`` is ``uniform``, ``random`` (uses ``p_fast``, in [0, 1], and
+    the ``seed`` list), or ``file:PATH``; ``commands`` lists ``bounds``
+    and ``simulate`` (the default) or one of them.  Identical configs
+    produce byte-identical CSV.  Exits 1 if any measured I/O falls below
+    its bound, and 2 before any row if ``simulate`` would exceed
+    ``MAX_SIMULATE_MOVES`` on a plan.
 
 Exit codes: 0 success, 1 verification/bound failure, 2 usage errors.
 """
@@ -206,12 +207,11 @@ def _load_plan(path):
 
 def cmd_bounds(args) -> int:
     plan = _load_plan(args.plan)
-    n = args.n if args.n else plan.size
-    rep = sequential_bound(plan, n, args.M, args.B, threshold=args.msp_threshold)
+    rep = sequential_bound(plan, plan.size, args.M, args.B, threshold=args.msp_threshold)
     out = rep.to_dict()
     if args.P:
         bm = args.Bm or 1
-        par = parallel_bound(plan, n, args.M, bm, args.P, threshold=args.msp_threshold)
+        par = parallel_bound(plan, plan.size, args.M, bm, args.P, threshold=args.msp_threshold)
         out["parallel_bound"] = float(par)
         out["P"] = args.P
         out["Bm"] = bm
@@ -253,9 +253,6 @@ def _check_simulate_size(plan):
 
 def cmd_simulate(args) -> int:
     plan = _load_plan(args.plan)
-    if args.n and args.n != plan.size:
-        print(f"error: plan size {plan.size} does not match --n {args.n}", file=sys.stderr)
-        return 2
     _check_simulate_size(plan)
     cfg = MachineConfig(args.M, args.B)
     # an unwritable dump path fails before any schedule work
@@ -287,6 +284,9 @@ class ConfigError(ValueError):
     pass
 
 
+SWEEP_COMMANDS = ("bounds", "simulate")
+
+
 def parse_sweep_config(text: str) -> dict:
     cfg = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -308,6 +308,8 @@ def parse_sweep_config(text: str) -> dict:
                 cfg[key] = float(value)
             except ValueError:
                 raise ConfigError(f"line {lineno}: p_fast wants a float, got {value!r}")
+            if not 0 <= cfg[key] <= 1:
+                raise ConfigError(f"line {lineno}: p_fast must lie in [0, 1], got {value!r}")
         elif key == "plan":
             cfg[key] = value
         elif key == "scheme":
@@ -316,6 +318,9 @@ def parse_sweep_config(text: str) -> dict:
             cfg[key] = value
         elif key == "commands":
             cfg[key] = [v.strip() for v in value.split(",")]
+            for v in cfg[key]:
+                if v not in SWEEP_COMMANDS:
+                    raise ConfigError(f"line {lineno}: unknown command {v!r}")
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     cfg.setdefault("plan", "uniform")
@@ -325,7 +330,7 @@ def parse_sweep_config(text: str) -> dict:
     cfg.setdefault("B", [1])
     cfg.setdefault("seed", [0])
     cfg.setdefault("p_fast", 0.5)
-    cfg.setdefault("commands", ["bounds", "simulate"])
+    cfg.setdefault("commands", list(SWEEP_COMMANDS))
     for key in ("n", "n0", "M", "B"):
         for v in cfg[key]:
             if key in ("n", "n0") and not is_pow2(v):
@@ -441,7 +446,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="evaluate I/O lower bounds for a plan")
     b.add_argument("--plan", required=True)
-    b.add_argument("--n", type=int, default=0)
     b.add_argument("--M", type=int, required=True)
     b.add_argument("--B", type=int, default=1)
     b.add_argument("--P", type=int, default=0)
@@ -452,7 +456,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="generate and simulate a schedule for a plan")
     s.add_argument("--plan", required=True)
-    s.add_argument("--n", type=int, default=0)
     s.add_argument("--M", type=int, required=True)
     s.add_argument("--B", type=int, default=1)
     s.add_argument("--dump-schedule")

@@ -15,6 +15,10 @@ seven children are walked one by one, each still carrying its leading axes,
 and stacking is tried again one level down.  Mixed children are always
 walked one by one.
 
+Every standard leaf is one ``matmul_mod`` call, whatever its variant: over
+Z/pZ both variants give the exact product, so the variant is a property of
+the CDAG (the summation tree ``cdag`` builds for the leaf), not of a value.
+
 Alongside the product the walk records the sizes of the standard leaves it
 multiplies, in depth-first order, as runs of equal sizes.  No other module
 reads this trace; it is returned so that callers can check a walk against
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plans import RecursionPlan, StandardLeaf, StandardVariant
+from .plans import RecursionPlan, StandardLeaf
 from .ringmat import DEFAULT_MODULUS, Matrix, _check_exact, matmul_mod
 
 
@@ -84,36 +88,13 @@ def _combine(coeffs, quads, modulus):
     return acc % modulus
 
 
-def _standard_block_recursive(a, b, modulus):
-    """Quadrant divide-and-conquer with 8 half-size products, down to n=1."""
-    s = a.shape[-1]
-    if s == 1:
-        return (a * b) % modulus
-    a11, a12, a21, a22 = _quads(a)
-    b11, b12, b21, b22 = _quads(b)
-    h = s // 2
-    out = np.empty(a.shape, dtype=np.int64)
-    rec = _standard_block_recursive
-    out[..., :h, :h] = (rec(a11, b11, modulus) + rec(a12, b21, modulus)) % modulus
-    out[..., :h, h:] = (rec(a11, b12, modulus) + rec(a12, b22, modulus)) % modulus
-    out[..., h:, :h] = (rec(a21, b11, modulus) + rec(a22, b21, modulus)) % modulus
-    out[..., h:, h:] = (rec(a21, b12, modulus) + rec(a22, b22, modulus)) % modulus
-    return out
-
-
-def _standard_kernel(variant: StandardVariant, a, b, modulus):
-    if variant is StandardVariant.BLOCK_RECURSIVE:
-        return _standard_block_recursive(a, b, modulus)
-    return matmul_mod(a, b, modulus)
-
-
 def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int):
     """Product of the stacked operands ``a`` and ``b`` through ``node``.
 
     ``limit`` is the most entries a stacked operand may hold."""
     if isinstance(node, StandardLeaf):
         trace.add(node.size)
-        return _standard_kernel(node.variant, a, b, modulus)
+        return matmul_mod(a, b, modulus)
 
     scheme = node.scheme
     aq = _quads(a)

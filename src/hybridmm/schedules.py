@@ -22,12 +22,15 @@ Two generators are exposed:
 The in-cache executor frees every word at its last use (inputs
 quadrant-by-quadrant, output quadrants written out as soon as they
 complete), which is what lets a subtree of side s run in roughly 3*s^2
-words.  All emission is budgeted: any step that would exceed M raises and
-the caller falls back to a coarser strategy, so generated schedules are
-legal by construction.
+words.  All emission is budgeted: any step that would exceed M raises, and
+``_Emitter.attempt``, the only undo path, drops the step's moves,
+allocations and residency so the caller can fall back to another child
+order or a coarser strategy; generated schedules are legal by construction.
 
 Every {-1, 0, 1} linear combination of blocks, driven by the ``FastScheme``
-coefficient rows, goes through one of three shared routines:
+coefficient rows, takes its opcodes from one map, ``_TERM_OP`` (a term's
+coefficient, and whether it starts its word, to copy, negate, add or
+subtract), and goes through one of three shared routines:
 
 ``_stream_combine``
     blocks in slow memory <- coefficient rows x blocks, in one synchronized
@@ -99,13 +102,18 @@ class _Emitter:
         self.temp_ptr = temp_base
         self.order_memo = {}
 
-    def checkpoint(self):
-        return len(self.moves), self.temp_ptr, set(self.resident)
-
-    def rollback(self, chk):
-        del self.moves[chk[0]:]
-        self.temp_ptr = chk[1]
-        self.resident = chk[2]
+    def attempt(self, fn, *args) -> bool:
+        """Run ``fn(*args)``.  If it would exceed the budget, undo its moves,
+        temporary allocations and residency, and return False."""
+        n_moves, temp_ptr, resident = len(self.moves), self.temp_ptr, set(self.resident)
+        try:
+            fn(*args)
+        except _Budget:
+            del self.moves[n_moves:]
+            self.temp_ptr = temp_ptr
+            self.resident = resident
+            return False
+        return True
 
     def alloc(self, words: int) -> int:
         p = self.temp_ptr
@@ -283,32 +291,28 @@ def gen_standard_blocked_schedule(n: int, cfg: MachineConfig) -> Schedule:
 # in-cache subtree execution
 # ---------------------------------------------------------------------------
 
+# (coefficient, first term of the word) -> opcode: the first term starts the
+# word as a copy or a negation, every later term adds onto it or subtracts
+_TERM_OP = {(1, True): OP_CPY, (-1, True): OP_NEG, (1, False): OP_ADD, (-1, False): OP_SUB}
+
+
 def _emit_combo_word(em, dst, srcs):
     """dst <- sum of (sign, addr) terms, all resident; one word."""
-    (s0, a0) = srcs[0]
-    if len(srcs) == 1:
-        if dst == a0:
-            if s0 == -1:
-                em.compute(dst, OP_NEG, a0)
-            # +1 onto itself is a no-op
-            return
-        em.compute(dst, OP_CPY if s0 == 1 else OP_NEG, a0)
-    else:
-        if dst == a0:
-            s1, a1 = srcs[1]
-            if s0 == 1:
-                em.compute(dst, OP_ADD if s1 == 1 else OP_SUB, a0, a1)
-            elif s1 == 1:
-                em.compute(dst, OP_SUB, a1, a0)
-            else:
-                em.compute(dst, OP_NEG, a0)
-                em.compute(dst, OP_SUB, dst, a1)
-            rest = srcs[2:]
+    (s0, a0), rest = srcs[0], srcs[1:]
+    if dst != a0:
+        em.compute(dst, _TERM_OP[s0, True], a0)
+    elif rest and (s0 == 1 or rest[0][0] == 1):
+        # in place over the first source: the +1 term of the first two leads
+        (s1, a1), rest = rest[0], rest[1:]
+        if s0 == 1:
+            em.compute(dst, _TERM_OP[s1, False], a0, a1)
         else:
-            em.compute(dst, OP_CPY if s0 == 1 else OP_NEG, a0)
-            rest = srcs[1:]
-        for s, a in rest:
-            em.compute(dst, OP_ADD if s == 1 else OP_SUB, dst, a)
+            em.compute(dst, _TERM_OP[s0, False], a1, a0)
+    elif s0 == -1:
+        em.compute(dst, _TERM_OP[s0, True], a0)
+    # (a lone +1 term onto itself is a no-op)
+    for s, a in rest:
+        em.compute(dst, _TERM_OP[s, False], dst, a)
 
 
 def _incache_leaf(em, a: View, b: View, out: View, write_out, own_a, own_b):
@@ -347,6 +351,13 @@ def _incache_leaf(em, a: View, b: View, out: View, write_out, own_a, own_b):
         em.evict_view(b)
 
 
+def _single_plus_quad(coeffs):
+    terms = [(q, c) for q, c in enumerate(coeffs) if c]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    return None
+
+
 def _build_operand(em, coeffs, views, dying):
     """Build one child operand block from resident source blocks.
 
@@ -356,10 +367,10 @@ def _build_operand(em, coeffs, views, dying):
     dying source, or into a fresh block when none dies, and the other dying
     sources are evicted.
     """
-    terms = [(q, c) for q, c in enumerate(coeffs) if c]
-    if len(terms) == 1 and terms[0][1] == 1:
-        q = terms[0][0]
+    q = _single_plus_quad(coeffs)
+    if q is not None:
         return views[q], q in dying
+    terms = [(q, c) for q, c in enumerate(coeffs) if c]
     dst_q = None
     for q, _ in terms:
         if q in dying:
@@ -394,8 +405,8 @@ def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
     a_uses = [sum(1 for i in range(7) if scheme.encode_a[i][q]) for q in range(4)]
     b_uses = [sum(1 for i in range(7) if scheme.encode_b[i][q]) for q in range(4)]
     out_q = [out.quadrant(*qd) for qd in QUADS]
-    dec_remaining = [sum(1 for i in range(7) if scheme.decode[q][i]) for q in range(4)]
-    dec_started = [False] * 4
+    # the children each output quadrant sums, in the order they finish
+    dec_terms = [[i for i in order if scheme.decode[q][i]] for q in range(4)]
     sides = ((scheme.encode_a, aq, a_uses, own_a), (scheme.encode_b, bq, b_uses, own_b))
 
     for idx in order:
@@ -419,19 +430,16 @@ def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
             if coeff == 0:
                 continue
             oqv = out_q[q]
-            if not dec_started[q]:
-                dec_started[q] = True
-                op = OP_CPY if coeff == 1 else OP_NEG
-                for r in range(h):
-                    for w in range(h):
-                        em.compute(oqv.addr(r, w), op, m_view.addr(r, w))
-            else:
-                op = OP_ADD if coeff == 1 else OP_SUB
-                for r in range(h):
-                    for w in range(h):
-                        em.compute(oqv.addr(r, w), op, oqv.addr(r, w), m_view.addr(r, w))
-            dec_remaining[q] -= 1
-            if dec_remaining[q] == 0 and write_out:
+            first = idx == dec_terms[q][0]
+            op = _TERM_OP[coeff, first]
+            for r in range(h):
+                for w in range(h):
+                    o = oqv.addr(r, w)
+                    if first:
+                        em.compute(o, op, m_view.addr(r, w))
+                    else:
+                        em.compute(o, op, o, m_view.addr(r, w))
+            if idx == dec_terms[q][-1] and write_out:
                 for r in range(h):
                     em.write_run(oqv.row_start(r), h)
                     for w in range(h):
@@ -466,14 +474,9 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
         if order in tried:
             continue
         tried.add(order)
-        chk = em.checkpoint()
-        try:
-            _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order)
-        except _Budget:
-            em.rollback(chk)
-            continue
-        em.order_memo[key] = order
-        return
+        if em.attempt(_incache_fast_ordered, em, node, a, b, out, write_out, own_a, own_b, order):
+            em.order_memo[key] = order
+            return
     em.order_memo[key] = "infeasible"
     raise _Budget()
 
@@ -482,11 +485,12 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
 # streaming fast nodes
 # ---------------------------------------------------------------------------
 
-def _single_plus_quad(coeffs):
-    terms = [(q, c) for q, c in enumerate(coeffs) if c]
-    if len(terms) == 1 and terms[0][1] == 1:
-        return terms[0][0]
-    return None
+def _kept_quad(rows, x, y):
+    """The quadrant of child ``x``'s operand (encode ``rows``) that stays
+    resident for child ``y``: the operand's single +1 term, if ``y`` reads
+    that quadrant too; else None."""
+    q = _single_plus_quad(rows[x])
+    return q if q is not None and rows[y][q] else None
 
 
 @lru_cache(maxsize=None)
@@ -495,18 +499,11 @@ def _fused_order(scheme: FastScheme):
     consecutive fused children; exhaustive over the 5040 orders, cached."""
 
     def score(order):
-        s = 0
-        for x, y in zip(order, order[1:]):
-            qa = _single_plus_quad(scheme.encode_a[x])
-            if qa is not None and scheme.encode_a[y][qa]:
-                s += 1
-            qb = _single_plus_quad(scheme.encode_b[x])
-            if qb is not None and scheme.encode_b[y][qb]:
-                s += 1
-        return s
+        return sum(_kept_quad(rows, x, y) is not None
+                   for x, y in zip(order, order[1:])
+                   for rows in (scheme.encode_a, scheme.encode_b))
 
-    best = max(itertools.permutations(range(7)), key=lambda o: (score(o), o))
-    return best
+    return max(itertools.permutations(range(7)), key=lambda o: (score(o), o))
 
 
 def _fused_child(em, scheme, idx, child, aq, bq, m_view, held, next_idx, write_out=True):
@@ -528,12 +525,10 @@ def _fused_child(em, scheme, idx, child, aq, bq, m_view, held, next_idx, write_o
     xa, xb = operands
     keep = []
     if next_idx is not None:
-        qa = _single_plus_quad(scheme.encode_a[idx])
-        if qa is not None and scheme.encode_a[next_idx][qa]:
-            keep.append(("A", qa, xa))
-        qb = _single_plus_quad(scheme.encode_b[idx])
-        if qb is not None and scheme.encode_b[next_idx][qb]:
-            keep.append(("B", qb, xb))
+        for side, rows, x in (("A", scheme.encode_a, xa), ("B", scheme.encode_b, xb)):
+            q = _kept_quad(rows, idx, next_idx)
+            if q is not None:
+                keep.append((side, q, x))
     own_a = not any(k[2] is xa for k in keep)
     own_b = not any(k[2] is xb for k in keep)
     _incache_node(em, child, xa, xb, m_view, write_out=write_out, own_a=own_a, own_b=own_b)
@@ -577,16 +572,17 @@ def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
                         em.evict(base + w)
     else:
         for dst, dst_terms in zip(dsts, terms):
+            ops = [(k == 0, _TERM_OP[c, k == 0], srcs[j]) for k, (c, j) in enumerate(dst_terms)]
             for r in range(h):
                 for w in range(h):
                     d = dst.addr(r, w)
-                    for k, (c, j) in enumerate(dst_terms):
-                        srcw = srcs[j].addr(r, w)
+                    for first, op, src in ops:
+                        srcw = src.addr(r, w)
                         em.read_run(srcw, 1)
-                        if k == 0:
-                            em.compute(d, OP_CPY if c == 1 else OP_NEG, srcw)
+                        if first:
+                            em.compute(d, op, srcw)
                         else:
-                            em.compute(d, OP_ADD if c == 1 else OP_SUB, d, srcw)
+                            em.compute(d, op, d, srcw)
                         em.evict(srcw)
                     em.write_run(d, 1)
                     em.evict(d)
@@ -603,38 +599,27 @@ def _stream_fast(em, node, av, bv, cv):
     to_materialize = []
     resident_m = set()
     for pos, idx in enumerate(order):
-        child = node.children[idx]
-        last = pos == 6
         # (next child for operand keeping, write output to slow).  The last
         # fused child may leave its output in cache for the decode pass.
-        attempts = []
-        if last:
-            if not to_materialize and em.M >= h * h + 9:
-                attempts.append((None, False))
-            attempts.append((None, True))
+        if pos < 6:
+            attempts = ((order[pos + 1], True), (None, True))
+        elif not to_materialize and em.M >= h * h + 9:
+            attempts = ((None, False), (None, True))
         else:
-            attempts.append((order[pos + 1], True))
-            attempts.append((None, True))
-        done = False
+            attempts = ((None, True),)
         for next_idx, write_out in attempts:
-            chk = em.checkpoint()
-            held_chk = dict(held)
-            try:
-                _fused_child(em, scheme, idx, child, aq, bq, m_views[idx],
-                             held, next_idx, write_out)
+            # an attempt consumes held operands from a copy, kept on success
+            trial = dict(held)
+            if em.attempt(_fused_child, em, scheme, idx, node.children[idx], aq, bq,
+                          m_views[idx], trial, next_idx, write_out):
+                held = trial
                 if not write_out:
                     resident_m.add(idx)
-                done = True
                 break
-            except _Budget:
-                em.rollback(chk)
-                held.clear()
-                held.update(held_chk)
-        if not done:
+        else:
             to_materialize.append(idx)
     for view in held.values():
         em.evict_view(view)
-    held.clear()
     if to_materialize:
         xa_views = [em.alloc_view(h, h) for _ in to_materialize]
         xb_views = [em.alloc_view(h, h) for _ in to_materialize]
@@ -645,19 +630,18 @@ def _stream_fast(em, node, av, bv, cv):
     _stream_combine(em, scheme.decode, m_views, [cv.quadrant(*qd) for qd in QUADS], resident_m)
 
 
+def _read_incache(em, node, av, bv, cv):
+    """One read pass of both operands, then the whole subtree in cache."""
+    em.read_view(av)
+    em.read_view(bv)
+    _incache_node(em, node, av, bv, cv, write_out=True, own_a=True, own_b=True)
+
+
 def _gen_node(em, node, av, bv, cv):
     if isinstance(node, StandardLeaf):
         _blocked(em, av, bv, cv)
-        return
-    chk = em.checkpoint()
-    try:
-        em.read_view(av)
-        em.read_view(bv)
-        _incache_node(em, node, av, bv, cv, write_out=True, own_a=True, own_b=True)
-        return
-    except _Budget:
-        em.rollback(chk)
-    _stream_fast(em, node, av, bv, cv)
+    elif not em.attempt(_read_incache, em, node, av, bv, cv):
+        _stream_fast(em, node, av, bv, cv)
 
 
 def gen_hybrid_schedule(plan: RecursionPlan, cfg: MachineConfig) -> Schedule:

@@ -65,7 +65,7 @@ def test_verify_malformed_scheme_exits_2(tmp_path, capsys, change):
 
 
 def test_bounds_json(plan_file, capsys):
-    assert main(["bounds", "--plan", plan_file, "--n", "16", "--M", "4", "--B", "1"]) == 0
+    assert main(["bounds", "--plan", plan_file, "--M", "4", "--B", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["nu1"] == 7
     assert data["t_total"] == 3584
@@ -150,13 +150,12 @@ def test_min_moves_is_a_lower_bound(plan):
                 cli._min_moves(plan, {})
 
 
-def test_simulate_size_mismatch(plan_file, capsys):
-    assert main(["simulate", "--plan", plan_file, "--n", "8", "--M", "12"]) == 2
-
-
-def test_bounds_size_mismatch(plan_file, capsys):
-    assert main(["bounds", "--plan", plan_file, "--n", "13", "--M", "4"]) == 2
-    assert "does not match n=13" in capsys.readouterr().err
+def test_size_flag_rejected(plan_file):
+    # the plan fixes the size; argparse refuses a --n with exit 2
+    for cmd in ("bounds", "simulate"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--plan", plan_file, "--n", "16", "--M", "4"])
+        assert exc.value.code == 2
 
 
 def test_sweep_config_errors():
@@ -169,6 +168,13 @@ def test_sweep_config_errors():
     with pytest.raises(ConfigError) as exc:
         parse_sweep_config("n=8\nM=x\n")
     assert "line 2" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_sweep_config("commands=bounds,simulat\n")
+    assert "simulat" in str(exc.value)
+    for p_fast in ("nan", "1.5", "-0.1", "inf"):
+        with pytest.raises(ConfigError) as exc:
+            parse_sweep_config(f"plan=random\np_fast={p_fast}\n")
+        assert "p_fast" in str(exc.value)
 
 
 def test_sweep_no_msp_row(tmp_path, capsys):

@@ -152,13 +152,13 @@ def test_stacked_walk_calls_leaf_kernel_once_per_level(monkeypatch):
     # a shared subtree is walked once on the stack of its seven operand
     # pairs: one kernel call covers many leaves
     calls = []
-    kernel = hybridmm.engine._standard_kernel
+    kernel = hybridmm.engine.matmul_mod
 
-    def counting(variant, a, b, modulus):
+    def counting(a, b, modulus):
         calls.append(a.shape)
-        return kernel(variant, a, b, modulus)
+        return kernel(a, b, modulus)
 
-    monkeypatch.setattr(hybridmm.engine, "_standard_kernel", counting)
+    monkeypatch.setattr(hybridmm.engine, "matmul_mod", counting)
     a, b = _operands(10, (256, 256))
     out, trace = execute_stacked(uniform_plan(256, 4), a, b)
     assert len(calls) <= 343  # 7^6 = 117,649 leaves

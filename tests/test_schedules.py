@@ -185,6 +185,12 @@ _PINNED_DUMPS = [
     # every fixed order fails; a permutation is picked
     ("hybrid", STRASSEN, 8, 2, 48, 1,
      "156e6991872b828a2dd256ddc0f53747fb2f8bd1672083e0b26bead9db57e4b2"),
+    # a fused child's first attempt fails and a later one succeeds, so the
+    # held operands the failed attempt consumed must be restored
+    ("hybrid", WINOGRAD, 8, 2, 64, 1,
+     "5802a821525b0a86446bff4eaa2a44c0b6da9183e06638f85e312e53dea5ae4d"),
+    ("hybrid", STRASSEN, 8, 2, 44, 1,
+     "0008107917d947a8d38698dec89c60c7ac912dbca4d2dbbc04479372460a3c45"),
     ("blocked", None, 8, None, 12, 1,
      "5d2abdcdaa1ff190d8ee7f79056ffa65307351a61fd69c2793201877acf124cc"),
     ("blocked", None, 2, None, 16, 4,
