@@ -18,6 +18,8 @@ walked one by one.
 Every standard leaf is one ``matmul_mod`` call, whatever its variant: over
 Z/pZ both variants give the exact product, so the variant is a property of
 the CDAG (the summation tree ``cdag`` builds for the leaf), not of a value.
+Encodes and decodes reduce late: each combination is summed in int64 and
+brought into [0, p) by conditional subtractions, with no division.
 
 Alongside the product the walk records the sizes of the standard leaves it
 multiplies, in depth-first order, as runs of equal sizes.  No other module
@@ -71,21 +73,52 @@ def _quads(x: np.ndarray):
     return (x[..., :h, :h], x[..., :h, h:], x[..., h:, :h], x[..., h:, h:])
 
 
-def _combine(coeffs, quads, modulus):
-    """Linear combination of quadrant blocks; coefficients in {-1, 0, 1}."""
-    acc = None
-    for c, q in zip(coeffs, quads):
-        if c == 0:
-            continue
-        if acc is None:
-            acc = q if c == 1 else (modulus - q)
-        elif c == 1:
-            acc = acc + q
-        else:
-            acc = acc - q
-    if acc is None:
-        return np.zeros_like(quads[0])
-    return acc % modulus
+def _combine(coeffs, quads, modulus, out=None):
+    """Linear combination of quadrant blocks with coefficients in {-1, 0, 1},
+    reduced to [0, p), written into ``out`` when given.
+
+    Reduction is delayed, as in FFLAS: the signed terms are summed in int64
+    with ``neg * p`` added, which puts the sum in [0, top] for ``top =
+    pos * (p - 1) + neg * p``.  Conditional subtractions of ``2**j * p``, from
+    the largest j with ``2**j * p <= top`` down to 0, then bring it into
+    [0, p); on a uint64 view ``min(u, u - s)`` is ``u - s`` exactly when
+    ``u >= s``, since the difference wraps otherwise.  That is ceil(log2 k)
+    passes for k terms, or ceil(log2 (k + 1)) when all of them are -1 (their
+    shifted sum can be exactly ``k * p``).  Without ``out``, a lone +1 term
+    is returned as it is.
+    """
+    terms = [(c, q) for c, q in zip(coeffs, quads) if c]
+    if out is None and len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    # a strided ``out`` (a quadrant of the decoded product) is written once,
+    # at the end: numpy runs one inner loop per row of a strided view
+    acc = out if out is not None and out.flags.c_contiguous else np.empty(
+        quads[0].shape, dtype=np.int64)
+    neg = sum(c < 0 for c, _ in terms)
+    rest = terms[1:]
+    if not terms:
+        acc[...] = 0
+    elif terms[0][0] < 0:
+        np.subtract(neg * modulus, terms[0][1], out=acc)
+    elif neg or not rest:
+        np.add(terms[0][1], neg * modulus, out=acc)
+    else:  # no shift to add: the first operation sums two terms
+        np.add(terms[0][1], rest[0][1], out=acc)
+        rest = rest[1:]
+    for c, q in rest:
+        (np.add if c > 0 else np.subtract)(acc, q, out=acc)
+    top = (len(terms) - neg) * (modulus - 1) + neg * modulus
+    passes = (top // modulus).bit_length()
+    if passes:
+        u = acc.view(np.uint64)
+        tmp = np.empty_like(u)
+        for j in reversed(range(passes)):
+            np.subtract(u, modulus << j, out=tmp)
+            np.minimum(u, tmp, out=u)
+    if out is None or out is acc:
+        return acc
+    np.copyto(out, acc)
+    return out
 
 
 def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int):
@@ -101,8 +134,11 @@ def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int):
     bq = _quads(b)
     child = node.children[0]
     if all(c is child for c in node.children) and 7 * aq[0].size <= limit:
-        xa = np.stack([_combine(row, aq, modulus) for row in scheme.encode_a])
-        xb = np.stack([_combine(row, bq, modulus) for row in scheme.encode_b])
+        xa = np.empty((7,) + aq[0].shape, dtype=np.int64)
+        xb = np.empty((7,) + bq[0].shape, dtype=np.int64)
+        for i in range(7):
+            _combine(scheme.encode_a[i], aq, modulus, xa[i])
+            _combine(scheme.encode_b[i], bq, modulus, xb[i])
         sub = ExecTrace()
         products = _run(child, xa, xb, modulus, sub, limit)
         trace.extend(sub, 7)
@@ -117,7 +153,7 @@ def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int):
     slices = ((slice(None, h), slice(None, h)), (slice(None, h), slice(h, None)),
               (slice(h, None), slice(None, h)), (slice(h, None), slice(h, None)))
     for q in range(4):
-        out[(..., *slices[q])] = _combine(scheme.decode[q], products, modulus)
+        _combine(scheme.decode[q], products, modulus, out[(..., *slices[q])])
     return out
 
 

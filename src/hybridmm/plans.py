@@ -26,7 +26,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
 
 from .ringmat import is_pow2
 
@@ -168,7 +167,10 @@ class FastNode:
             raise ValueError("fast node requires size >= 2")
 
 
-RecursionPlan = Union[StandardLeaf, FastNode]
+# a PEP 604 union, not typing.Union: typing caches every Union it builds,
+# which would keep the classes (and the whole module) of each fresh import
+# of this module alive
+RecursionPlan = StandardLeaf | FastNode
 
 
 def uniform_plan(n: int, n0: int, scheme: FastScheme = STRASSEN,

@@ -131,6 +131,24 @@ def test_sweep_refuses_runaway_plan_before_generating(tmp_path, monkeypatch, cap
     assert "size-256 plan needs at least" in captured.err
 
 
+def test_sweep_refuses_oversized_random_plan_before_building(tmp_path, monkeypatch, capsys):
+    # at p_fast=1 and n=1024 the tree has (7^11 - 1) / 6 = 330M nodes
+    def no_build(*args, **kwargs):
+        raise AssertionError("random plan built for a refused sweep")
+
+    monkeypatch.setattr(cli, "random_plan", no_build)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("plan=random\nn=1024\np_fast=1\ncommands=bounds\n")
+    out = tmp_path / "rows.csv"
+    t0 = time.perf_counter()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert not out.exists()
+    assert "3.3e+08 nodes in expectation" in capsys.readouterr().err
+    # the expectation falls with p_fast: n=1024 at 0.2 is about 99 nodes
+    assert parse_sweep_config("plan=random\nn=1024\np_fast=0.2\n")["n"] == [1024]
+
+
 def test_simulate_refuses_runaway_plan(tmp_path, monkeypatch, capsys):
     # one standard leaf of size 256 computes 2*256^3 - 256^2 values
     monkeypatch.setattr(cli, "gen_hybrid_schedule", _no_generation)

@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import hybridmm.engine
-from hybridmm.engine import execute, execute_stacked
+from hybridmm.engine import _combine, _quads, execute, execute_stacked
 from hybridmm.plans import (STRASSEN, WINOGRAD, FastNode, StandardLeaf, StandardVariant,
                             plan_stats, random_plan, uniform_plan)
 from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, mat_mul_naive, matmul_pyint
@@ -215,3 +216,51 @@ def test_mixed_children_with_shared_subtree():
     assert np.array_equal(out, matmul_pyint(a, b, DEFAULT_MODULUS))
     assert _expand(trace) == _leaves_in_dfs_order(root)
     assert all(r[0] != s[0] for r, s in zip(trace.leaf_runs, trace.leaf_runs[1:]))
+
+
+def _combine_oracle(coeffs, quads, p):
+    total = np.zeros(quads[0].shape, dtype=object)
+    for c, q in zip(coeffs, quads):
+        total = total + c * q.astype(object)
+    return total % p
+
+
+def _combine_operands(k, p, seed):
+    # blocks of shape (2, 3, 2, 2): filled with 0, 1 and p-1, entries drawn
+    # from {0, 1, p-1}, and uniform in [0, p)
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, 2, 2)
+    sets = [[np.full(shape, v, dtype=np.int64) for _ in range(k)] for v in (0, 1, p - 1)]
+    sets.append([rng.choice(np.array([0, 1, p - 1]), size=shape) for _ in range(k)])
+    sets.append([rng.integers(0, p, size=shape, dtype=np.int64) for _ in range(k)])
+    return sets
+
+
+@pytest.mark.parametrize("k", [4, 7])
+@pytest.mark.parametrize("p", [DEFAULT_MODULUS, 65537, 3])
+def test_combine_matches_python_int_oracle(k, p):
+    # every coefficient row, written to a fresh array, into a contiguous
+    # slice of a stack, and into a strided quadrant
+    stack = np.empty((7, 2, 3, 2, 2), dtype=np.int64)
+    whole = np.empty((2, 3, 4, 4), dtype=np.int64)
+    for quads in _combine_operands(k, p, seed=k):
+        for row in itertools.product((-1, 0, 1), repeat=k):
+            want = _combine_oracle(row, quads, p)
+            assert np.array_equal(_combine(row, quads, p), want), row
+            _combine(row, quads, p, stack[3])
+            assert np.array_equal(stack[3], want), row
+            _combine(row, quads, p, _quads(whole)[1])
+            assert np.array_equal(_quads(whole)[1], want), row
+
+
+def test_combine_edge_rows():
+    p = DEFAULT_MODULUS
+    zeros = [np.zeros((3, 2, 2), dtype=np.int64) for _ in range(7)]
+    # an all-negative row on zero blocks shifts to exactly neg * p, which
+    # must reduce to 0, not p
+    for row in ((-1, -1, -1, -1), (-1, 0, 0, 0), (-1,) * 7):
+        out = _combine(row, zeros, p)
+        assert out.dtype == np.int64 and not out.any()
+    # a lone +1 term is the block itself, untouched
+    blocks = [np.full((3, 2, 2), v, dtype=np.int64) for v in range(4)]
+    assert _combine((0, 0, 1, 0), blocks, p) is blocks[2]

@@ -1,3 +1,8 @@
+import gc
+import importlib
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -179,3 +184,20 @@ def test_parse_caps_nesting_depth():
 
 def test_scheme_registry():
     assert set(SCHEMES) == {"strassen", "winograd"}
+
+
+def test_fresh_import_is_released():
+    # a fresh import of the package (as a benchmark harness makes on every
+    # pass) must be freed once dropped; typing.Union's cache used to keep
+    # each copy of the plan classes, and their whole module, alive
+    saved = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "hybridmm"}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        node_class = weakref.ref(importlib.import_module("hybridmm.plans").FastNode)
+    finally:
+        for name in [k for k in sys.modules if k.split(".")[0] == "hybridmm"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert node_class() is None

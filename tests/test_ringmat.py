@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridmm.ringmat import (DEFAULT_MODULUS, Matrix, mat_add, mat_mul_naive,
-                              mat_sub, matmul_mod)
+from hybridmm.ringmat import (DEFAULT_MODULUS, LIMB_MIN_INNER, Matrix, mat_add,
+                              mat_mul_naive, mat_sub, matmul_mod, matmul_pyint)
 
 P = DEFAULT_MODULUS
 
@@ -69,10 +69,11 @@ def test_matmul_mod_no_overflow_with_extreme_entries():
 
 
 def test_matmul_mod_exactness_limits():
-    # at the limits the int64 sums still fit
+    # at the limits the sums are still exact
     k = 1 << 16
     a = np.full((1, k), P - 1, dtype=np.int64)
     assert matmul_mod(a, a.T.copy(), P)[0, 0] == (k * (P - 1) * (P - 1)) % P
+    assert np.array_equal(matmul_mod(a, a.T.copy(), P), matmul_pyint(a, a.T.copy(), P))
     # past them the kernel refuses rather than return wrong entries
     with pytest.raises(ValueError, match="inner dimension"):
         matmul_mod(np.ones((1, k + 1), dtype=np.int64),
@@ -84,6 +85,32 @@ def test_matmul_mod_exactness_limits():
     # the Python-int oracle has no such limit
     mb = Matrix(m, big)
     assert mat_mul_naive(mb, mb) == ref_matmul(mb, mb)
+
+
+@pytest.mark.parametrize("p", [P, 65537, 3])
+@pytest.mark.parametrize("k", [1, 2, LIMB_MIN_INNER - 1, LIMB_MIN_INNER,
+                               LIMB_MIN_INNER + 1, 64])
+def test_matmul_mod_matches_pyint_on_both_paths(k, p):
+    # the int64 path below LIMB_MIN_INNER, the limb path from there up;
+    # stacked non-square operands, uniform and all p-1
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, p, size=(2, 3, 5, k), dtype=np.int64)
+    b = rng.integers(0, p, size=(2, 3, k, 4), dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, b, p), matmul_pyint(a, b, p))
+    top_a = np.full((3, 5, k), p - 1, dtype=np.int64)
+    top_b = np.full((3, k, 4), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_mod(top_a, top_b, p), matmul_pyint(top_a, top_b, p))
+
+
+@pytest.mark.parametrize("k", [LIMB_MIN_INNER // 2, LIMB_MIN_INNER, 32])
+def test_matmul_mod_on_quadrant_views(k):
+    # the engine passes quadrants of a stacked operand: strided views
+    rng = np.random.default_rng(k)
+    x = rng.integers(0, P, size=(7, 2 * k, 2 * k), dtype=np.int64)
+    y = rng.integers(0, P, size=(7, 2 * k, 2 * k), dtype=np.int64)
+    for a, b in ((x[:, :k, k:], y[:, k:, :k]), (x[:, k:, k:], y[:, :k, :k])):
+        assert not a.flags.c_contiguous
+        assert np.array_equal(matmul_mod(a, b, P), matmul_pyint(a, b, P))
 
 
 def test_bilinearity():
