@@ -12,7 +12,7 @@ additionally admit closed forms.
 """
 
 from hybridmm import (MachineConfig, enumerate_msps, gen_hybrid_schedule,
-                      parallel_bound, sequential_bound, simulate, t_total,
+                      parallel_bound, sequential_bound, simulate,
                       uniform_closed_form, uniform_inner_term, uniform_plan)
 
 # --- enumerating MSPs --------------------------------------------------------
@@ -20,7 +20,7 @@ from hybridmm import (MachineConfig, enumerate_msps, gen_hybrid_schedule,
 plan = uniform_plan(16, 8)
 msps = enumerate_msps(plan, 4)
 print(f"uniform(16,8) at M=4: {len(msps)} Type {msps[0].msp_type} MSPs, "
-      f"n_i={msps[0].n_i}, |T|={t_total(msps)}")
+      f"n_i={msps[0].n_i}, |T|={sum(d.n_i ** 3 for d in msps if d.msp_type == 1)}")
 
 msps = enumerate_msps(uniform_plan(16, 2), 4)
 print(f"uniform(16,2) at M=4: {len(msps)} Type {msps[0].msp_type} MSPs")

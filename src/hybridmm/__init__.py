@@ -17,7 +17,7 @@ from .pebble import (IoStats, MachineConfig, MemoryLayout, ParsimonyReport,
                      parse_schedule, replay_values, simulate)
 from .schedules import gen_hybrid_schedule, gen_standard_blocked_schedule
 from .bounds import (BOUND_CONSTANT_C, BoundReport, MspDescriptor, enumerate_msps,
-                     parallel_bound, sequential_bound, t_total,
+                     parallel_bound, sequential_bound,
                      uniform_closed_form, uniform_inner_term,
                      uniform_parallel_closed_form)
 

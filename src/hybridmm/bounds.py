@@ -17,6 +17,9 @@ input term because nothing is assumed about the initial data distribution.
 Closed forms for uniform plans are evaluated exactly whenever 4*M is a
 perfect square and the size ratios are powers of two.
 
+``sequential_bound`` counts nu1, nu2 and |T| once per distinct subtree;
+``enumerate_msps`` lists the MSPs with their paths.
+
 All size comparisons against the threshold 2*sqrt(M) are done in integers
 (s >= 2*sqrt(M) iff s*s >= 4*M); a custom float threshold can be supplied
 for sensitivity checks.
@@ -78,19 +81,34 @@ def enumerate_msps(plan: RecursionPlan, m: int,
             if _at_least_threshold(node.size, m, threshold):
                 out.append(MspDescriptor(1, node.size, path))
             continue
-        child_size = node.size // 2
-        if not _at_least_threshold(child_size, m, threshold):
+        if not _at_least_threshold(node.size // 2, m, threshold):
             out.append(MspDescriptor(2, node.size, path))
             continue
+        # pushed in reverse so that MSPs come out in path order
         for i in range(6, -1, -1):
             stack.append((node.children[i], path + (i,)))
-    out.sort(key=lambda d: d.path)
     return out
 
 
-def t_total(msps) -> int:
-    """Total elementary products inside Type 1 MSPs: sum of n_i^3."""
-    return sum(d.n_i ** 3 for d in msps if d.msp_type == 1)
+def _count_msps(plan: RecursionPlan, m: int, threshold: Optional[float] = None):
+    """(nu1, nu2, |T|) of ``enumerate_msps``, walking a shared subtree once."""
+    if _root_excluded(plan.size, m, threshold):
+        return 0, 0, 0
+    memo = {}
+
+    def walk(node):
+        if isinstance(node, StandardLeaf):
+            if _at_least_threshold(node.size, m, threshold):
+                return 1, 0, node.size ** 3
+            return 0, 0, 0
+        if not _at_least_threshold(node.size // 2, m, threshold):
+            return 0, 1, 0
+        key = id(node)
+        if key not in memo:
+            memo[key] = tuple(map(sum, zip(*map(walk, node.children))))
+        return memo[key]
+
+    return walk(plan)
 
 
 def _exact_sqrt(k: int):
@@ -147,10 +165,7 @@ def sequential_bound(plan: RecursionPlan, n: int, m: int, b: int,
         raise ValueError("m and b must be >= 1")
     if n != plan.size:
         raise ValueError(f"plan size {plan.size} does not match n={n}")
-    msps = enumerate_msps(plan, m, threshold)
-    nu1 = sum(1 for d in msps if d.msp_type == 1)
-    nu2 = sum(1 for d in msps if d.msp_type == 2)
-    tt = t_total(msps)
+    nu1, nu2, tt = _count_msps(plan, m, threshold)
     term_input = Fraction(2 * n * n, b)
     root = _exact_sqrt(m)
     if root is not None:

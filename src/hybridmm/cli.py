@@ -11,7 +11,7 @@ verify
     registered ones; ``--max-vertices 0`` skips the dominator suites.
     Exits 1 on any failure, 2 on a malformed scheme file.
 
-bounds --plan FILE --M M --B B [--P P --Bm BM]
+bounds --plan FILE --M M --B B [--P P --Bm BM] [--msp-threshold T]
     Evaluate the sequential (and optionally parallel) lower bound for the
     plan at its own size; prints a JSON report.
 
@@ -35,8 +35,9 @@ sweep --config FILE [--out FILE]
     and ``simulate`` (the default) or one of them.  Identical configs
     produce byte-identical CSV.  Exits 1 if any measured I/O falls below
     its bound, and 2 before any row if ``simulate`` would exceed
-    ``MAX_SIMULATE_MOVES`` on a plan, or, before any plan is built, if a
-    random plan's expected node count exceeds ``MAX_SWEEP_PLAN_NODES``.
+    ``MAX_SIMULATE_MOVES`` on a plan, or, before any plan is built, if an
+    ``n`` or ``n0`` exceeds ``2**MAX_PLAN_DEPTH`` or a random plan's
+    expected node count exceeds ``MAX_SWEEP_PLAN_NODES``.
 
 Exit codes: 0 success, 1 verification/bound failure, 2 usage errors.
 """
@@ -56,8 +57,8 @@ from .cdag import (EncoderGraph, build_cdag, min_dominator_size,
                    verify_encoder_distinct_neighborhoods)
 from .engine import execute
 from .pebble import MachineConfig, check_parsimonious, dump_schedule, simulate
-from .plans import (SCHEMES, FastScheme, StandardLeaf, check_coefficients, parse_plan,
-                    random_plan, uniform_plan)
+from .plans import (MAX_PLAN_DEPTH, SCHEMES, FastScheme, StandardLeaf, check_coefficients,
+                    parse_plan, random_plan, uniform_plan)
 from .ringmat import Matrix, is_pow2, mat_mul_naive
 from .schedules import gen_hybrid_schedule
 
@@ -338,8 +339,9 @@ def parse_sweep_config(text: str) -> dict:
     cfg.setdefault("commands", list(SWEEP_COMMANDS))
     for key in ("n", "n0", "M", "B"):
         for v in cfg[key]:
-            if key in ("n", "n0") and not is_pow2(v):
-                raise ConfigError(f"{key} values must be powers of two, got {v}")
+            if key in ("n", "n0") and not (is_pow2(v) and v <= 2 ** MAX_PLAN_DEPTH):
+                raise ConfigError(f"{key} values must be powers of two up to "
+                                  f"2**{MAX_PLAN_DEPTH}, got {v}")
             if v < 1:
                 raise ConfigError(f"{key} values must be positive, got {v}")
     if "simulate" in cfg["commands"]:

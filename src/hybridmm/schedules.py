@@ -1,11 +1,12 @@
 """I/O-efficient schedule generators for plans in the two-level model.
 
-Two generators are exposed:
+Two generators are exposed, built by one set-up:
 
 ``gen_standard_blocked_schedule``
     Classic square tiling for the standard algorithm with tile side t, the
     largest power of two satisfying 3*t^2 <= M.  With M = 3 the tiling
-    degenerates to the definition triple loop with accumulator spills.
+    degenerates to the definition triple loop with accumulator spills.  It
+    is the hybrid generator on a plan that is one standard leaf.
 
 ``gen_hybrid_schedule``
     Depth-first traversal of a recursion plan.  A sub-problem whose whole
@@ -27,22 +28,23 @@ words.  All emission is budgeted: any step that would exceed M raises, and
 allocations and residency so the caller can fall back to another child
 order or a coarser strategy; generated schedules are legal by construction.
 
+Runs of words go through a few ``_Emitter`` primitives: ``read_run`` and
+``write_run`` move a run in block moves of at most B words, ``evict_run``
+drops it from the cache, ``flush`` writes it back and then evicts it, and
+the ``*_view`` forms apply these to each contiguous run of a ``View``
+(``View.runs``).  Loops that go one word at a time (dot products, signed
+terms, the M=3 word-wise write-backs) emit their moves inline.
+
 Every {-1, 0, 1} linear combination of blocks, driven by the ``FastScheme``
 coefficient rows, takes its opcodes from one map, ``_TERM_OP`` (a term's
 coefficient, and whether it starts its word, to copy, negate, add or
-subtract), and goes through one of three shared routines:
-
-``_stream_combine``
-    blocks in slow memory <- coefficient rows x blocks, in one synchronized
-    pass: the stream encode (4 quadrants -> materialized operands) and the
-    stream decode (7 sub-products, some possibly cache-resident -> 4
-    output quadrants).
-``_build_operand``
-    one child operand block in cache from resident source blocks, for
-    in-cache and fused children alike.
-``_incache_leaf``
-    the standard triple loop over resident operands, for in-cache leaves
-    and for the blocked generator when the whole problem fits.
+subtract).  ``_stream_combine`` builds blocks in slow memory in one
+synchronized pass over their sources (the stream encode and decode).
+``_build_operand`` builds a child operand in cache from resident blocks,
+for in-cache and fused children.  The in-cache decode adds each child's
+product into the output quadrants term by term as the child finishes.
+``_incache_leaf`` runs the standard triple loop over resident operands, for
+in-cache leaves and for the blocked generator when the whole problem fits.
 """
 
 from __future__ import annotations
@@ -53,11 +55,7 @@ from functools import lru_cache
 
 from .pebble import (MV_C, MV_E, MV_R, MV_W, OP_ADD, OP_CPY, OP_MUL, OP_NEG,
                      OP_SUB, MachineConfig, MemoryLayout, Schedule)
-from .plans import FastScheme, RecursionPlan, StandardLeaf
-from .ringmat import is_pow2
-
-QUADS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
+from .plans import FastScheme, RecursionPlan, StandardLeaf, StandardVariant
 
 @dataclass(frozen=True)
 class View:
@@ -71,20 +69,21 @@ class View:
     def addr(self, r: int, c: int) -> int:
         return self.base + r * self.stride + c
 
-    def row_start(self, r: int) -> int:
-        return self.base + r * self.stride
+    def block(self, r: int, c: int, side: int) -> "View":
+        """The side x side block at block row r, block column c."""
+        return View(self.base + (r * self.stride + c) * side, self.stride, side, side)
 
-    def quadrant(self, qi: int, qj: int) -> "View":
+    def quadrants(self) -> list:
+        """The four quadrant views, in row-major order."""
         h = self.rows // 2
-        return View(self.base + qi * h * self.stride + qj * h, self.stride, h, h)
+        return [self.block(qi, qj, h) for qi in (0, 1) for qj in (0, 1)]
 
-    @property
-    def dense(self) -> bool:
-        return self.stride == self.cols
-
-    @property
-    def words(self) -> int:
-        return self.rows * self.cols
+    def runs(self):
+        """(start, length) of each contiguous run, in order: the whole view
+        when its rows abut or it has one row, else one run per row."""
+        if self.stride == self.cols or self.rows == 1:
+            return ((self.base, self.rows * self.cols),)
+        return [(self.base + r * self.stride, self.cols) for r in range(self.rows)]
 
 
 class _Budget(Exception):
@@ -130,17 +129,18 @@ class _Emitter:
                 raise _Budget()
             res.add(addr)
 
+    # the run loops step from ``start`` itself, not a range, so a one-word
+    # run shares its int with the caller's computes (28 bytes a move at M=3)
     def read_run(self, start: int, length: int):
         b = self.B
         a = start
         end = start + length
         moves = self.moves
         while a < end:
-            k = min(b, end - a)
-            moves.append((MV_R, a, k))
-            for x in range(a, a + k):
-                self._grow(x)
-            a += k
+            moves.append((MV_R, a, min(b, end - a)))
+            a += b
+        for x in range(start, end):
+            self._grow(x)
 
     def write_run(self, start: int, length: int):
         b = self.B
@@ -148,9 +148,8 @@ class _Emitter:
         end = start + length
         moves = self.moves
         while a < end:
-            k = min(b, end - a)
-            moves.append((MV_W, a, k))
-            a += k
+            moves.append((MV_W, a, min(b, end - a)))
+            a += b
 
     def compute(self, out: int, op: int, x: int, y: int = -1):
         self.moves.append((MV_C, out, op, x, y))
@@ -160,25 +159,36 @@ class _Emitter:
         self.moves.append((MV_E, addr))
         self.resident.remove(addr)
 
+    def evict_run(self, start: int, length: int):
+        a = start
+        end = start + length
+        moves = self.moves
+        res = self.resident
+        while a < end:
+            moves.append((MV_E, a))
+            res.remove(a)
+            a += 1
+
+    def flush(self, start: int, length: int):
+        """Write a resident run back to slow memory, then evict it."""
+        self.write_run(start, length)
+        self.evict_run(start, length)
+
     def read_view(self, v: View):
-        if v.dense:
-            self.read_run(v.base, v.words)
-        else:
-            for r in range(v.rows):
-                self.read_run(v.row_start(r), v.cols)
+        for run in v.runs():
+            self.read_run(*run)
 
     def write_view(self, v: View):
-        if v.dense:
-            self.write_run(v.base, v.words)
-        else:
-            for r in range(v.rows):
-                self.write_run(v.row_start(r), v.cols)
+        for run in v.runs():
+            self.write_run(*run)
 
     def evict_view(self, v: View):
-        for r in range(v.rows):
-            s = v.row_start(r)
-            for a in range(s, s + v.cols):
-                self.evict(a)
+        for run in v.runs():
+            self.evict_run(*run)
+
+    def flush_view(self, v: View):
+        for run in v.runs():
+            self.flush(*run)
 
 
 # ---------------------------------------------------------------------------
@@ -205,35 +215,30 @@ def _blocked(em: _Emitter, av: View, bv: View, cv: View):
     scratch = em.alloc(1)
     for ti in range(nt):
         for tj in range(nt):
+            ct = cv.block(ti, tj, t)
             for tk in range(nt):
-                if t == n:
-                    em.read_view(bv)
-                else:
-                    for r in range(t):
-                        em.read_run(bv.addr(tk * t + r, tj * t), t)
+                at = av.block(ti, tk, t)
+                bt = bv.block(tk, tj, t)
+                em.read_view(bt)
                 for r in range(t):
-                    em.read_run(av.addr(ti * t + r, tk * t), t)
+                    a_row = at.addr(r, 0)
+                    c_row = ct.addr(r, 0)
+                    em.read_run(a_row, t)
                     for c in range(t):
-                        c_addr = cv.addr(ti * t + r, tj * t + c)
+                        c_addr = c_row + c
                         for z in range(t):
-                            a_addr = av.addr(ti * t + r, tk * t + z)
-                            b_addr = bv.addr(tk * t + z, tj * t + c)
+                            a_addr = a_row + z
+                            b_addr = bt.addr(z, c)
                             if tk == 0 and z == 0:
                                 em.compute(c_addr, OP_MUL, a_addr, b_addr)
                             else:
                                 em.compute(scratch, OP_MUL, a_addr, b_addr)
                                 em.compute(c_addr, OP_ADD, c_addr, scratch)
-                    for z in range(t):
-                        em.evict(av.addr(ti * t + r, tk * t + z))
-                for r in range(t):
-                    for z in range(t):
-                        em.evict(bv.addr(tk * t + r, tj * t + z))
+                    em.evict_run(a_row, t)
+                em.evict_view(bt)
             for r in range(t):
-                em.write_run(cv.addr(ti * t + r, tj * t), t)
-                for c in range(t):
-                    em.evict(cv.addr(ti * t + r, tj * t + c))
-    if scratch in em.resident:
-        em.evict(scratch)
+                em.flush(ct.addr(r, 0), t)
+    em.evict(scratch)
 
 
 def _blocked_full_resident(em: _Emitter, av: View, bv: View, cv: View):
@@ -259,14 +264,10 @@ def _blocked_spill(em: _Emitter, av: View, bv: View, cv: View):
                 b_addr = bv.addr(k, j)
                 em.read_run(a_addr, 1)
                 em.read_run(b_addr, 1)
-                if k == 0:
-                    em.compute(c_addr, OP_MUL, a_addr, b_addr)
-                    em.evict(a_addr)
-                    em.evict(b_addr)
-                else:
-                    em.compute(scratch, OP_MUL, a_addr, b_addr)
-                    em.evict(a_addr)
-                    em.evict(b_addr)
+                em.compute(scratch if k else c_addr, OP_MUL, a_addr, b_addr)
+                em.evict(a_addr)
+                em.evict(b_addr)
+                if k:
                     em.read_run(c_addr, 1)
                     em.compute(c_addr, OP_ADD, c_addr, scratch)
                     em.evict(scratch)
@@ -276,15 +277,7 @@ def _blocked_spill(em: _Emitter, av: View, bv: View, cv: View):
 
 def gen_standard_blocked_schedule(n: int, cfg: MachineConfig) -> Schedule:
     """Tiled standard multiplication of the full problem, C = A * B."""
-    if not is_pow2(n):
-        raise ValueError("n must be a power of two")
-    layout = MemoryLayout(n)
-    em = _Emitter(cfg, layout.temp_base)
-    av = View(layout.a_base, n, n, n)
-    bv = View(layout.b_base, n, n, n)
-    cv = View(layout.c_base, n, n, n)
-    _blocked(em, av, bv, cv)
-    return Schedule(em.moves, layout, label=f"blocked(n={n},M={cfg.M},B={cfg.B})")
+    return _generate(StandardLeaf(StandardVariant.ITERATIVE_DEF, n), cfg, "blocked")
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +294,14 @@ def _emit_combo_word(em, dst, srcs):
     (s0, a0), rest = srcs[0], srcs[1:]
     if dst != a0:
         em.compute(dst, _TERM_OP[s0, True], a0)
-    elif rest and (s0 == 1 or rest[0][0] == 1):
-        # in place over the first source: the +1 term of the first two leads
-        (s1, a1), rest = rest[0], rest[1:]
-        if s0 == 1:
-            em.compute(dst, _TERM_OP[s1, False], a0, a1)
-        else:
-            em.compute(dst, _TERM_OP[s0, False], a1, a0)
     elif s0 == -1:
-        em.compute(dst, _TERM_OP[s0, True], a0)
-    # (a lone +1 term onto itself is a no-op)
+        # in place over a -1 first source: a +1 second term leads
+        if rest and rest[0][0] == 1:
+            (_, a1), rest = rest[0], rest[1:]
+            em.compute(dst, _TERM_OP[s0, False], a1, a0)
+        else:
+            em.compute(dst, _TERM_OP[s0, True], a0)
+    # (in place over a +1 first source, the other terms add onto it)
     for s, a in rest:
         em.compute(dst, _TERM_OP[s, False], dst, a)
 
@@ -339,14 +330,10 @@ def _incache_leaf(em, a: View, b: View, out: View, write_out, own_a, own_b):
                 em.compute(scratch, OP_MUL, a.addr(i, k), b.addr(k, j))
                 em.compute(o, OP_ADD, o, scratch)
         if own_a:
-            for k in range(s):
-                em.evict(a.addr(i, k))
+            em.evict_run(a.addr(i, 0), s)
         if write_out:
-            em.write_run(out.row_start(i), s)
-            for j in range(s):
-                em.evict(out.addr(i, j))
-    if scratch in em.resident:
-        em.evict(scratch)
+            em.flush(out.addr(i, 0), s)
+    em.evict(scratch)
     if own_b:
         em.evict_view(b)
 
@@ -400,11 +387,11 @@ _INCACHE_ORDERS = {"strassen": ((6, 4, 3, 1, 5, 0, 2),) + _NATURAL_ORDERS}
 def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
     scheme = node.scheme
     h = node.size // 2
-    aq = [a.quadrant(*qd) for qd in QUADS]
-    bq = [b.quadrant(*qd) for qd in QUADS]
+    aq = a.quadrants()
+    bq = b.quadrants()
     a_uses = [sum(1 for i in range(7) if scheme.encode_a[i][q]) for q in range(4)]
     b_uses = [sum(1 for i in range(7) if scheme.encode_b[i][q]) for q in range(4)]
-    out_q = [out.quadrant(*qd) for qd in QUADS]
+    out_q = out.quadrants()
     # the children each output quadrant sums, in the order they finish
     dec_terms = [[i for i in order if scheme.decode[q][i]] for q in range(4)]
     sides = ((scheme.encode_a, aq, a_uses, own_a), (scheme.encode_b, bq, b_uses, own_b))
@@ -440,10 +427,7 @@ def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
                     else:
                         em.compute(o, op, o, m_view.addr(r, w))
             if idx == dec_terms[q][-1] and write_out:
-                for r in range(h):
-                    em.write_run(oqv.row_start(r), h)
-                    for w in range(h):
-                        em.evict(oqv.addr(r, w))
+                em.flush_view(oqv)
         em.evict_view(m_view)
 
 
@@ -549,7 +533,7 @@ def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
     h = dsts[0].rows
     used = sorted({j for row in rows for j, c in enumerate(row) if c})
     streamed = [j for j in used if j not in resident]
-    resident_words = sum(srcs[j].words for j in resident)
+    resident_words = len(resident) * h * h
     terms = [[(c, j) for j, c in enumerate(row) if c] for row in rows]
     if em.M >= resident_words + len(streamed) + 2:
         seg_cap = (em.M - 1 - resident_words) // (len(streamed) + 1)
@@ -557,19 +541,15 @@ def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
             for s0 in range(0, h, seg_cap):
                 seg = min(seg_cap, h - s0)
                 for j in streamed:
-                    em.read_run(srcs[j].row_start(r) + s0, seg)
+                    em.read_run(srcs[j].addr(r, s0), seg)
                 for dst, dst_terms in zip(dsts, terms):
-                    dbase = dst.row_start(r) + s0
+                    dbase = dst.addr(r, s0)
                     for w in range(seg):
                         _emit_combo_word(em, dbase + w,
-                                         [(c, srcs[j].row_start(r) + s0 + w) for c, j in dst_terms])
-                    em.write_run(dbase, seg)
-                    for w in range(seg):
-                        em.evict(dbase + w)
+                                         [(c, srcs[j].addr(r, s0 + w)) for c, j in dst_terms])
+                    em.flush(dbase, seg)
                 for j in used:
-                    base = srcs[j].row_start(r) + s0
-                    for w in range(seg):
-                        em.evict(base + w)
+                    em.evict_run(srcs[j].addr(r, s0), seg)
     else:
         for dst, dst_terms in zip(dsts, terms):
             ops = [(k == 0, _TERM_OP[c, k == 0], srcs[j]) for k, (c, j) in enumerate(dst_terms)]
@@ -591,8 +571,8 @@ def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
 def _stream_fast(em, node, av, bv, cv):
     h = node.size // 2
     scheme = node.scheme
-    aq = [av.quadrant(*qd) for qd in QUADS]
-    bq = [bv.quadrant(*qd) for qd in QUADS]
+    aq = av.quadrants()
+    bq = bv.quadrants()
     m_views = [em.alloc_view(h, h) for _ in range(7)]
     order = _fused_order(scheme)
     held = {}
@@ -627,7 +607,7 @@ def _stream_fast(em, node, av, bv, cv):
         _stream_combine(em, [scheme.encode_b[i] for i in to_materialize], bq, xb_views)
         for idx, xa, xb in zip(to_materialize, xa_views, xb_views):
             _gen_node(em, node.children[idx], xa, xb, m_views[idx])
-    _stream_combine(em, scheme.decode, m_views, [cv.quadrant(*qd) for qd in QUADS], resident_m)
+    _stream_combine(em, scheme.decode, m_views, cv.quadrants(), resident_m)
 
 
 def _read_incache(em, node, av, bv, cv):
@@ -644,13 +624,15 @@ def _gen_node(em, node, av, bv, cv):
         _stream_fast(em, node, av, bv, cv)
 
 
-def gen_hybrid_schedule(plan: RecursionPlan, cfg: MachineConfig) -> Schedule:
-    """Depth-first I/O-efficient schedule executing the given plan."""
+def _generate(plan: RecursionPlan, cfg: MachineConfig, kind: str) -> Schedule:
     n = plan.size
     layout = MemoryLayout(n)
     em = _Emitter(cfg, layout.temp_base)
-    av = View(layout.a_base, n, n, n)
-    bv = View(layout.b_base, n, n, n)
-    cv = View(layout.c_base, n, n, n)
-    _gen_node(em, plan, av, bv, cv)
-    return Schedule(em.moves, layout, label=f"hybrid(n={n},M={cfg.M},B={cfg.B})")
+    _gen_node(em, plan, *(View(base, n, n, n) for base in
+                          (layout.a_base, layout.b_base, layout.c_base)))
+    return Schedule(em.moves, layout, label=f"{kind}(n={n},M={cfg.M},B={cfg.B})")
+
+
+def gen_hybrid_schedule(plan: RecursionPlan, cfg: MachineConfig) -> Schedule:
+    """Depth-first I/O-efficient schedule executing the given plan."""
+    return _generate(plan, cfg, "hybrid")

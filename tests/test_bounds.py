@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridmm.bounds import (BOUND_CONSTANT_C, enumerate_msps, parallel_bound,
-                             sequential_bound, t_total, uniform_closed_form,
+                             sequential_bound, uniform_closed_form,
                              uniform_inner_term, uniform_parallel_closed_form)
 from hybridmm.engine import execute
 from hybridmm.plans import (FastNode, STRASSEN, StandardLeaf, StandardVariant,
@@ -15,17 +15,23 @@ from hybridmm.ringmat import Matrix
 IT = StandardVariant.ITERATIVE_DEF
 
 
-def recount_msps(plan, m):
-    """Independent walk: (nu1, nu2, t_total) by direct recursion."""
-    if plan.size * plan.size <= 4 * m:
+def recount_msps(plan, m, threshold=None):
+    """Independent walk: (nu1, nu2, t_total) by direct recursion.  Sizes are
+    compared with 2*sqrt(m) in integers, or with ``threshold`` when given."""
+    def cmp(s):  # the sign of s - threshold
+        if threshold is None:
+            return (s * s > 4 * m) - (s * s < 4 * m)
+        return (s > threshold) - (s < threshold)
+
+    if cmp(plan.size) <= 0:
         return (0, 0, 0)
 
     def rec(node):
         if isinstance(node, StandardLeaf):
-            if node.size * node.size >= 4 * m:
+            if cmp(node.size) >= 0:
                 return (1, 0, node.size ** 3)
             return (0, 0, 0)
-        if (node.size // 2) ** 2 < 4 * m:
+        if cmp(node.size // 2) < 0:
             return (0, 1, 0)
         n1 = n2 = tt = 0
         for child in node.children:
@@ -38,6 +44,11 @@ def recount_msps(plan, m):
     return rec(plan)
 
 
+def type1_cubes(msps):
+    """|T|: the elementary products inside Type 1 MSPs, sum of n_i^3."""
+    return sum(d.n_i ** 3 for d in msps if d.msp_type == 1)
+
+
 def test_no_msps_at_threshold_boundary():
     assert enumerate_msps(uniform_plan(4, 1), 4) == []
     assert enumerate_msps(uniform_plan(4, 4), 4) == []
@@ -47,7 +58,7 @@ def test_type1_enumeration_16_8():
     msps = enumerate_msps(uniform_plan(16, 8), 4)
     assert len(msps) == 7
     assert all(d.msp_type == 1 and d.n_i == 8 for d in msps)
-    assert t_total(msps) == 7 * 8 ** 3 == 3584
+    assert type1_cubes(msps) == 7 * 8 ** 3 == 3584
     # 7^i closed form with i = log2(n/n0)
     assert len(msps) == 7 ** int(math.log2(16 // 8))
 
@@ -56,7 +67,7 @@ def test_type2_enumeration_16_2():
     msps = enumerate_msps(uniform_plan(16, 2), 4)
     assert len(msps) == 49
     assert all(d.msp_type == 2 and d.n_i == 4 for d in msps)
-    assert t_total(msps) == 0
+    assert type1_cubes(msps) == 0
     assert len(msps) == 7 ** int(math.log2(16 // 4))
 
 
@@ -64,7 +75,7 @@ def test_improper_type1():
     msps = enumerate_msps(uniform_plan(16, 16), 4)
     assert len(msps) == 1
     assert msps[0].msp_type == 1 and msps[0].n_i == 16 and msps[0].path == ()
-    assert t_total(msps) == 4096
+    assert type1_cubes(msps) == 4096
 
 
 def test_improper_type2():
@@ -81,13 +92,34 @@ def test_improper_type2():
 
 
 def test_enumeration_matches_recount_on_random_plans():
-    for seed in range(12):
-        plan = random_plan(16, 0.6, seed=seed)
-        for m in (1, 4, 16, 64):
-            msps = enumerate_msps(plan, m)
+    # random plans, and uniform ones whose subtrees are shared; the bound's
+    # counts and threshold overrides must agree with the recount too
+    plans = [random_plan(16, 0.6, seed=seed) for seed in range(12)]
+    plans += [uniform_plan(16, n0) for n0 in (1, 2, 4)]
+    cases = [(m, None) for m in (1, 4, 16, 64)] + [(4, 3.0), (4, 8.0), (16, 5.5), (1, 16.0)]
+    for plan in plans:
+        for m, threshold in cases:
+            expected = recount_msps(plan, m, threshold)
+            msps = enumerate_msps(plan, m, threshold)
+            assert [d.path for d in msps] == sorted(d.path for d in msps)
             n1 = sum(1 for d in msps if d.msp_type == 1)
             n2 = sum(1 for d in msps if d.msp_type == 2)
-            assert (n1, n2, t_total(msps)) == recount_msps(plan, m)
+            assert (n1, n2, type1_cubes(msps)) == expected
+            rep = sequential_bound(plan, 16, m, 1, threshold)
+            assert (rep.nu1, rep.nu2, rep.t_total) == expected
+
+
+def test_sequential_bound_counts_without_listing(monkeypatch):
+    # 7^18 Type 2 MSPs: counted once per distinct subtree, never listed.  The
+    # stand-in neither raises nor keeps its arguments, so that a failure
+    # report never prints the plan, whose repr has 7^20 leaves.
+    from hybridmm import bounds
+
+    listed = []
+    monkeypatch.setattr(bounds, "enumerate_msps", lambda *args: listed.append(True) or [])
+    rep = sequential_bound(uniform_plan(2 ** 20, 1), 2 ** 20, 3, 1)
+    assert not listed
+    assert (rep.nu1, rep.nu2, rep.t_total) == (0, 7 ** 18, 0)
 
 
 def test_msp_paths_pairwise_non_prefix():
@@ -194,7 +226,7 @@ def test_monotonicity_under_leaf_expansion():
     plan2 = FastNode(STRASSEN, (expanded_leaf,) + (leaf,) * 6)
     m1 = enumerate_msps(plan, m)
     m2 = enumerate_msps(plan2, m)
-    assert t_total(m1) - t_total(m2) <= 8 ** 3
+    assert type1_cubes(m1) - type1_cubes(m2) <= 8 ** 3
     n_old = len(m1)
     n_new = len(m2)
     assert n_new >= n_old - 1
@@ -208,7 +240,7 @@ def test_trace_cross_check_with_t_total():
     _, trace = execute(plan, Matrix.random(16, rng), Matrix.random(16, rng))
     msps = enumerate_msps(plan, 4)  # threshold 4: every leaf qualifies
     assert all(d.msp_type == 1 for d in msps)
-    assert trace.total_elementary_products() == t_total(msps)
+    assert trace.total_elementary_products() == type1_cubes(msps)
 
 
 def leaf_paths_in_dfs_order(plan):
@@ -237,7 +269,7 @@ def test_trace_restricted_to_type1_paths():
         m = 4
         type1_paths = {d.path for d in enumerate_msps(plan, m) if d.msp_type == 1}
         restricted = sum(size ** 3 for path, size in leaves if path in type1_paths)
-        assert restricted == t_total(enumerate_msps(plan, m))
+        assert restricted == type1_cubes(enumerate_msps(plan, m))
 
 
 def test_bound_report_json_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from hybridmm import cli
 from hybridmm.cli import ConfigError, main, parse_sweep_config
 from hybridmm.pebble import MachineConfig, simulate
-from hybridmm.plans import WINOGRAD, random_plan, serialize_plan, uniform_plan
+from hybridmm.plans import MAX_PLAN_DEPTH, WINOGRAD, random_plan, serialize_plan, uniform_plan
 from hybridmm.schedules import gen_hybrid_schedule
 
 
@@ -76,6 +76,15 @@ def test_bounds_with_parallel(plan_file, capsys):
     assert main(["bounds", "--plan", plan_file, "--M", "4", "--P", "7"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["parallel_bound"] == pytest.approx(99.8097, abs=1e-3)
+
+
+def test_bounds_msp_threshold(plan_file, capsys):
+    # at threshold 9 the size-8 leaves drop out of Type 1 and the root,
+    # whose children now fall below it, is the one Type 2 MSP
+    assert main(["bounds", "--plan", plan_file, "--M", "4", "--msp-threshold", "9"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["nu1"], data["nu2"], data["t_total"]) == (0, 1, 0)
+    assert data["term_nu2"] == 4
 
 
 def test_bounds_parse_error(tmp_path, capsys):
@@ -193,6 +202,30 @@ def test_sweep_config_errors():
         with pytest.raises(ConfigError) as exc:
             parse_sweep_config(f"plan=random\np_fast={p_fast}\n")
         assert "p_fast" in str(exc.value)
+    for text in (f"n={2 ** 1100}\ncommands=simulate\n", f"n={2 ** 1100}\ncommands=bounds\n",
+                 f"n={2 ** 41}\n", f"n={2 ** 41}\nn0={2 ** 41}\ncommands=bounds\n"):
+        with pytest.raises(ConfigError) as exc:
+            parse_sweep_config(text)
+        assert f"2**{MAX_PLAN_DEPTH}" in str(exc.value)
+
+
+def test_sweep_size_cap(tmp_path, capsys, monkeypatch):
+    # above the cap: exit 2 before the CSV header; at it, a bounds row is
+    # counted per level, never by listing its 7^38 MSPs
+    from hybridmm import bounds
+
+    monkeypatch.setattr(bounds, "enumerate_msps", lambda *args: [])
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"plan=uniform\nn={2 ** 1100}\ncommands=bounds\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    cfg.write_text(f"plan=uniform\nn={2 ** MAX_PLAN_DEPTH}\nn0=1\nM=3\ncommands=bounds\n")
+    start = time.perf_counter()
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert time.perf_counter() - start < 1.0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["nu2"] == str(7 ** (MAX_PLAN_DEPTH - 2))
 
 
 def test_sweep_no_msp_row(tmp_path, capsys):

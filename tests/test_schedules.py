@@ -195,6 +195,13 @@ _PINNED_DUMPS = [
      "5d2abdcdaa1ff190d8ee7f79056ffa65307351a61fd69c2793201877acf124cc"),
     ("blocked", None, 2, None, 16, 4,
      "0af9f705cde6fa9ae9b1b5929852746c2e48d99010404c39d0adc03661babdfd"),
+    # the tile is the whole matrix but M < 3n^2+1: B is read as one run,
+    # A row by row, and B=3 splits both unevenly
+    ("blocked", None, 4, None, 48, 3,
+     "9121c635fff7d194e250065000fcec3f95dc638acb68d25f1236d41b555845bf"),
+    # runs that are not multiples of B through every hybrid path
+    ("hybrid", WINOGRAD, 8, 2, 20, 3,
+     "5539c9682b0d11f3b8253c705f42728e89ca99978c4c610c0450e64910d7fd9f"),
 ]
 
 
