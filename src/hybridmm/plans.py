@@ -147,11 +147,16 @@ class StandardLeaf:
             raise ValueError(f"leaf size must be a power of two, got {self.size}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FastNode:
     scheme: FastScheme
     children: tuple  # exactly 7 plans, ordered by sub-problem index
     size: int = field(default=0)
+
+    def __repr__(self):
+        # the children are left out: a uniform plan shares one subtree per
+        # level, so expanding them grows 7x per level
+        return f"FastNode(scheme={self.scheme.id!r}, size={self.size})"
 
     def __post_init__(self):
         if len(self.children) != 7:

@@ -7,7 +7,9 @@ tolerance to pick.
 Matrices are square, row-major, immutable, and backed by int64 numpy arrays.
 ``matmul_mod`` returns the exact product mod p for moduli below 2**31 and
 inner dimensions up to 2**16, and raises ValueError outside those limits.
-It has two exact paths, chosen by inner dimension alone.  Below
+It has three exact paths, chosen by inner dimension alone.  At inner
+dimension 1 (the 1x1 leaves of a plan cut off at n0 = 1) each entry is a
+single product below 2**62, taken in int64 and reduced once.  Below
 ``LIMB_MIN_INNER`` it multiplies in int64, splitting one factor into 16-bit
 halves so that every sum stays below 2**63.  From there up it splits both
 factors into 16-bit limbs and runs four float64 matrix products through
@@ -147,8 +149,10 @@ def _limbs(x: np.ndarray):
 def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact stacked matmul of int64 arrays with entries in [0, p).
 
-    Below an inner dimension of ``LIMB_MIN_INNER`` the product is taken in
-    int64 with b split into 16-bit halves, keeping every sum below 2**63.
+    At inner dimension 1 the product is a broadcast elementwise product and
+    one reduction.  Below an inner dimension of ``LIMB_MIN_INNER`` the
+    product is taken in int64 with b split into 16-bit halves, keeping every
+    sum below 2**63.
     From there up, a and b are split into 16-bit limbs, ``x = hi * 2**16 +
     lo`` with hi < 2**15, and the four limb products run as float64 BLAS
     matmuls.  For inner dimension k each partial sum is an integer below
@@ -156,10 +160,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     The limb products are recombined mod p in int64 in base 2**16:
     ``(S_hh << 16) + S_hl + S_lh`` stays below 2**62 + 2**48 for k up to
     2**16, and after one reduction ``(t << 16) + S_ll`` below 2**49.
-    Both paths are exact for p < 2**31 and inner dimensions up to 2**16;
+    All three paths are exact for p < 2**31 and inner dimensions up to 2**16;
     outside those limits it raises ValueError.
     """
     _check_exact(modulus, a.shape[-1])
+    if a.shape[-1] == 1 and a.ndim > 1 and b.ndim > 1:
+        # an outer product: each entry is one product below 2**62
+        return a * b % modulus
     if a.shape[-1] < LIMB_MIN_INNER:
         b_hi, b_lo = np.divmod(b, 1 << 16)
         hi = np.matmul(a, b_hi) % modulus

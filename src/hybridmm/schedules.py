@@ -28,6 +28,14 @@ words.  All emission is budgeted: any step that would exceed M raises, and
 allocations and residency so the caller can fall back to another child
 order or a coarser strategy; generated schedules are legal by construction.
 
+Every in-cache fast node runs its children through one per-child step,
+``_incache_child``, which sees the children before it only as a set (a
+bitmask).  The node tries its memoized order and the scheme's fixed orders
+first; when none fits, ``_incache_search`` goes depth first over the next
+child in lexicographic order, each step a nested ``attempt``, and never
+re-enters a done-set from which nothing fits.  It finds the same first
+fitting order as a scan of all 5,040 orders, in at most 7 * 2**6 steps.
+
 Runs of words go through a few ``_Emitter`` primitives: ``read_run`` and
 ``write_run`` move a run in block moves of at most B words, ``evict_run``
 drops it from the cache, ``flush`` writes it back and then evicts it, and
@@ -91,7 +99,7 @@ class _Budget(Exception):
 
 
 class _Emitter:
-    __slots__ = ("moves", "M", "B", "resident", "temp_ptr", "order_memo")
+    __slots__ = ("moves", "M", "B", "resident", "temp_ptr", "order_memo", "user_masks")
 
     def __init__(self, cfg: MachineConfig, temp_base: int):
         self.moves = []
@@ -100,6 +108,7 @@ class _Emitter:
         self.resident = set()
         self.temp_ptr = temp_base
         self.order_memo = {}
+        self.user_masks = {}
 
     def attempt(self, fn, *args) -> bool:
         """Run ``fn(*args)``.  If it would exceed the budget, undo its moves,
@@ -378,57 +387,95 @@ def _build_operand(em, coeffs, views, dying):
     return dv, True
 
 
-# fixed child orders tried before the exhaustive search, by scheme id; the
-# first Strassen order keeps peak residency near 3*s^2
+# fixed child orders tried before the search, by scheme id; the first
+# Strassen order keeps peak residency near 3*s^2
 _NATURAL_ORDERS = (tuple(range(7)), tuple(reversed(range(7))))
 _INCACHE_ORDERS = {"strassen": ((6, 4, 3, 1, 5, 0, 2),) + _NATURAL_ORDERS}
+_ALL_CHILDREN = (1 << 7) - 1
+
+def _user_masks(em, scheme):
+    """Per quadrant, the bitmask of children whose A operand reads it, whose
+    B operand reads it, and whose product the output quadrant sums; built
+    once per scheme in a generation."""
+    # keyed by id: a FastScheme hashes all its coefficients on every lookup
+    masks = em.user_masks.get(id(scheme))
+    if masks is None:
+        def users(rows):  # one row of 4 coefficients per child
+            return tuple(sum(1 << i for i, row in enumerate(rows) if row[q]) for q in range(4))
+
+        masks = em.user_masks[id(scheme)] = (users(scheme.encode_a), users(scheme.encode_b),
+                                             users(tuple(zip(*scheme.decode))))
+    return masks
 
 
-def _incache_fast_ordered(em, node, a, b, out, write_out, own_a, own_b, order):
-    scheme = node.scheme
-    h = node.size // 2
-    aq = a.quadrants()
-    bq = b.quadrants()
-    a_uses = [sum(1 for i in range(7) if scheme.encode_a[i][q]) for q in range(4)]
-    b_uses = [sum(1 for i in range(7) if scheme.encode_b[i][q]) for q in range(4)]
-    out_q = out.quadrants()
-    # the children each output quadrant sums, in the order they finish
-    dec_terms = [[i for i in order if scheme.decode[q][i]] for q in range(4)]
-    sides = ((scheme.encode_a, aq, a_uses, own_a), (scheme.encode_b, bq, b_uses, own_b))
-
-    for idx in order:
+def _incache_child(em, ctx, done, idx, write_out):
+    """Run child ``idx`` of an in-cache fast node after the children in the
+    bitmask ``done``: build its operands, evaluate it, and add its product
+    into the output quadrants.  Which quadrants die, which operands are
+    built in place, which output words start or finish, and so the
+    residency, depend on ``done`` as a set only, never on its order."""
+    node, sides, out_q, dec_users = ctx
+    after = done | 1 << idx
+    operands = []
+    for rows, users, quads, own in sides:
+        coeffs = rows[idx]
         # an owned quadrant dies with the operand that uses it last
-        operands = []
-        for rows, quads, uses, own in sides:
-            coeffs = rows[idx]
-            dying = []
-            for q, c in enumerate(coeffs):
-                if c:
-                    uses[q] -= 1
-                    if own and uses[q] == 0:
-                        dying.append(q)
-            operands.append(_build_operand(em, coeffs, quads, dying))
-        (xa, own_xa), (xb, own_xb) = operands
-        m_view = em.alloc_view(h, h)
-        _incache_node(em, node.children[idx], xa, xb, m_view,
-                      write_out=False, own_a=own_xa, own_b=own_xb)
-        for q in range(4):
-            coeff = scheme.decode[q][idx]
-            if coeff == 0:
-                continue
-            oqv = out_q[q]
-            first = idx == dec_terms[q][0]
-            op = _TERM_OP[coeff, first]
-            for r in range(h):
-                for w in range(h):
-                    o = oqv.addr(r, w)
-                    if first:
-                        em.compute(o, op, m_view.addr(r, w))
-                    else:
-                        em.compute(o, op, o, m_view.addr(r, w))
-            if idx == dec_terms[q][-1] and write_out:
-                em.flush_view(oqv)
-        em.evict_view(m_view)
+        dying = [q for q, c in enumerate(coeffs) if c and own and not users[q] & ~after]
+        operands.append(_build_operand(em, coeffs, quads, dying))
+    (xa, own_xa), (xb, own_xb) = operands
+    h = node.size // 2
+    m_view = em.alloc_view(h, h)
+    _incache_node(em, node.children[idx], xa, xb, m_view,
+                  write_out=False, own_a=own_xa, own_b=own_xb)
+    for q, oqv in enumerate(out_q):
+        coeff = node.scheme.decode[q][idx]
+        if coeff == 0:
+            continue
+        first = not dec_users[q] & done
+        op = _TERM_OP[coeff, first]
+        for r in range(h):
+            for w in range(h):
+                o = oqv.addr(r, w)
+                if first:
+                    em.compute(o, op, m_view.addr(r, w))
+                else:
+                    em.compute(o, op, o, m_view.addr(r, w))
+        if write_out and not dec_users[q] & ~after:
+            em.flush_view(oqv)
+    em.evict_view(m_view)
+
+
+def _incache_ordered(em, ctx, order, write_out):
+    done = 0
+    for idx in order:
+        _incache_child(em, ctx, done, idx, write_out)
+        done |= 1 << idx
+
+
+def _incache_search(em, ctx, done, dead, order, write_out):
+    """Run the children not in ``done`` in the lexicographically first order
+    that fits, writing it into ``order`` from position ``|done|`` on.
+
+    Depth first over the next child.  A done-set from which no order fits
+    goes into ``dead`` and is never entered again, so one search takes at
+    most 7 * 2**6 child steps.  Raises ``_Budget`` when nothing fits.
+    """
+    if done == _ALL_CHILDREN:
+        return
+    pos = done.bit_count()
+    for idx in range(7):
+        after = done | 1 << idx
+        if after != done and after not in dead:
+            order[pos] = idx
+            if em.attempt(_incache_search_step, em, ctx, done, idx, dead, order, write_out):
+                return
+    dead.add(done)
+    raise _Budget()
+
+
+def _incache_search_step(em, ctx, done, idx, dead, order, write_out):
+    _incache_child(em, ctx, done, idx, write_out)
+    _incache_search(em, ctx, done | 1 << idx, dead, order, write_out)
 
 
 def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
@@ -439,9 +486,11 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
     to slow memory (and evicted) when ``write_out`` is set, quadrant by
     quadrant as they complete.
 
-    Child processing order drives the residency peak, so infeasible fixed
-    orders fall through to an exhaustive permutation search; the outcome is
-    memoized per (subtree, context) for the duration of one generation.
+    Child processing order drives the residency peak.  The memoized order
+    and the scheme's fixed orders are tried first; when none fits,
+    ``_incache_search`` finds the lexicographically first order that does.
+    The outcome is memoized per (subtree, context) for the duration of one
+    generation.
     """
     if isinstance(node, StandardLeaf):
         _incache_leaf(em, a, b, out, write_out, own_a, own_b)
@@ -450,17 +499,20 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
     memo = em.order_memo.get(key)
     if memo == "infeasible":
         raise _Budget()
-    orders = itertools.chain((memo,) if memo else (),
-                             _INCACHE_ORDERS.get(node.scheme.id, _NATURAL_ORDERS),
-                             itertools.permutations(range(7)))
-    tried = set()
-    for order in orders:
-        if order in tried:
-            continue
-        tried.add(order)
-        if em.attempt(_incache_fast_ordered, em, node, a, b, out, write_out, own_a, own_b, order):
+    a_users, b_users, dec_users = _user_masks(em, node.scheme)
+    ctx = (node,
+           ((node.scheme.encode_a, a_users, a.quadrants(), own_a),
+            (node.scheme.encode_b, b_users, b.quadrants(), own_b)),
+           out.quadrants(), dec_users)
+    orders = _INCACHE_ORDERS.get(node.scheme.id, _NATURAL_ORDERS)
+    for order in ((memo,) if memo else ()) + orders:
+        if em.attempt(_incache_ordered, em, ctx, order, write_out):
             em.order_memo[key] = order
             return
+    order = [None] * 7
+    if em.attempt(_incache_search, em, ctx, 0, set(), order, write_out):
+        em.order_memo[key] = tuple(order)
+        return
     em.order_memo[key] = "infeasible"
     raise _Budget()
 
@@ -480,12 +532,15 @@ def _kept_quad(rows, x, y):
 @lru_cache(maxsize=None)
 def _fused_order(scheme: FastScheme):
     """Child order maximizing single-quadrant operand reuse between
-    consecutive fused children; exhaustive over the 5040 orders, cached."""
+    consecutive fused children; exhaustive over the 5040 orders, cached.
+    Ties go to the lexicographically largest order."""
+    # kept[x][y]: operands child x can leave resident for child y
+    kept = [[sum(_kept_quad(rows, x, y) is not None
+                 for rows in (scheme.encode_a, scheme.encode_b)) for y in range(7)]
+            for x in range(7)]
 
     def score(order):
-        return sum(_kept_quad(rows, x, y) is not None
-                   for x, y in zip(order, order[1:])
-                   for rows in (scheme.encode_a, scheme.encode_b))
+        return sum(kept[x][y] for x, y in zip(order, order[1:]))
 
     return max(itertools.permutations(range(7)), key=lambda o: (score(o), o))
 

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -109,6 +110,17 @@ def test_fast_node_structure_enforced():
         FastNode(STRASSEN, (leaf,) * 6 + (StandardLeaf(IT, 4),))
     node = FastNode(STRASSEN, (StandardLeaf(IT, 1),) * 7)
     assert node.size == 2
+
+
+def test_fast_node_repr_does_not_expand_subtrees():
+    # a uniform plan shares one subtree per level, so an expanded repr
+    # would grow 7x per level; 2**20 is far past anything printable
+    t0 = time.perf_counter()
+    text = repr(uniform_plan(2 ** 20, 1, WINOGRAD))
+    assert time.perf_counter() - t0 < 1.0
+    assert len(text) < 200
+    assert "winograd" in text and str(2 ** 20) in text
+    assert uniform_plan(4, 1) == uniform_plan(4, 1) != uniform_plan(4, 2)
 
 
 def test_random_plan_p0_and_p1():

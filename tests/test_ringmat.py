@@ -102,6 +102,22 @@ def test_matmul_mod_matches_pyint_on_both_paths(k, p):
     assert np.array_equal(matmul_mod(top_a, top_b, p), matmul_pyint(top_a, top_b, p))
 
 
+def test_matmul_mod_inner_dimension_one():
+    # the 1x1 leaves of an n0 = 1 plan: stacks as the engine builds them,
+    # non-square and broadcast stacks, all entries p-1 and strided views
+    rng = np.random.default_rng(7)
+    cases = [((7, 7, 64, 1, 1), (7, 7, 64, 1, 1)), ((3, 5, 1), (3, 1, 4)),
+             ((2, 1, 5, 1), (3, 1, 4)), ((1, 1), (1, 1))]
+    for sa, sb in cases:
+        for a, b in ((rng.integers(0, P, size=sa, dtype=np.int64),
+                      rng.integers(0, P, size=sb, dtype=np.int64)),
+                     (np.full(sa, P - 1, dtype=np.int64), np.full(sb, P - 1, dtype=np.int64))):
+            assert np.array_equal(matmul_mod(a, b, P), matmul_pyint(a, b, P))
+    x = np.full((7, 2, 2), P - 1, dtype=np.int64)
+    assert np.array_equal(matmul_mod(x[:, :1, 1:], x[:, 1:, :1], P),
+                          matmul_pyint(x[:, :1, 1:], x[:, 1:, :1], P))
+
+
 @pytest.mark.parametrize("k", [LIMB_MIN_INNER // 2, LIMB_MIN_INNER, 32])
 def test_matmul_mod_on_quadrant_views(k):
     # the engine passes quadrants of a stacked operand: strided views

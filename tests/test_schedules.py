@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from hybridmm import schedules
 from hybridmm.bounds import sequential_bound
 from hybridmm.pebble import (MachineConfig, check_parsimonious, dump_schedule,
                              replay_values, simulate)
@@ -202,6 +204,13 @@ _PINNED_DUMPS = [
     # runs that are not multiples of B through every hybrid path
     ("hybrid", WINOGRAD, 8, 2, 20, 3,
      "5539c9682b0d11f3b8253c705f42728e89ca99978c4c610c0450e64910d7fd9f"),
+    # the in-cache order search runs deep below the fixed orders (see
+    # test_incache_search_steps_bounded)
+    ("hybrid", WINOGRAD, 16, 1, 40, 1,
+     "2c9ba38af5c0c0db97105b328fa61258738d2db768e6e1100099a96a2c5442a5"),
+    # a mixed tree: n0 is the seed of random_plan(n, 0.7, seed, scheme)
+    ("random", WINOGRAD, 16, 1, 44, 1,
+     "81460568b0393a2295cea98fbb7f4afcae6a19250b771df2b6e3987d517d1431"),
 ]
 
 
@@ -210,6 +219,54 @@ def test_generated_moves_pinned(gen, scheme, n, n0, m, b, digest):
     cfg = MachineConfig(m, b)
     if gen == "hybrid":
         sched = gen_hybrid_schedule(uniform_plan(n, n0, scheme), cfg)
+    elif gen == "random":
+        sched = gen_hybrid_schedule(random_plan(n, 0.7, seed=n0, scheme=scheme), cfg)
     else:
         sched = gen_standard_blocked_schedule(n, cfg)
     assert hashlib.sha256(dump_schedule(sched).encode()).hexdigest() == digest
+
+
+def test_incache_search_steps_bounded(monkeypatch):
+    # a child step depends on the children before it only as a set, so one
+    # search over a node's child orders takes at most 7 * 2**6 steps, where
+    # a scan of whole orders would try up to 5,040 of them
+    searches = []  # [ctx, child steps] of each search
+    active = []
+    real_search, real_child = schedules._incache_search, schedules._incache_child
+
+    def search(em, ctx, done, *rest):
+        if done:
+            return real_search(em, ctx, done, *rest)
+        active.append([ctx, 0])
+        searches.append(active[-1])
+        try:
+            return real_search(em, ctx, done, *rest)
+        finally:
+            active.pop()
+
+    def child(em, ctx, *rest):
+        for entry in active:
+            if entry[0] is ctx:
+                entry[1] += 1
+        return real_child(em, ctx, *rest)
+
+    monkeypatch.setattr(schedules, "_incache_search", search)
+    monkeypatch.setattr(schedules, "_incache_child", child)
+    gen_hybrid_schedule(uniform_plan(16, 1, WINOGRAD), MachineConfig(40, 1))
+    steps = [n for _, n in searches]
+    assert steps and max(steps) > 7 * 7
+    assert max(steps) <= 7 * 2 ** 6
+
+
+def test_fused_orders_pinned():
+    # the table-driven scoring picks what scoring each order with
+    # _kept_quad directly picks, ties to the largest order
+    for scheme, expected in ((STRASSEN, (6, 4, 2, 5, 3, 1, 0)),
+                             (WINOGRAD, (6, 1, 2, 3, 4, 0, 5))):
+        def score(order):
+            return sum(schedules._kept_quad(rows, x, y) is not None
+                       for x, y in zip(order, order[1:])
+                       for rows in (scheme.encode_a, scheme.encode_b))
+
+        assert schedules._fused_order(scheme) == expected
+        assert max(itertools.permutations(range(7)), key=lambda o: (score(o), o)) == expected
