@@ -3,8 +3,9 @@
 Small instances are cheap enough to verify the load-bearing graph facts
 directly: encoder outputs have pairwise-distinct neighborhoods, output
 subsets of an encoder reach enough inputs through disjoint paths, and
-minimum dominator sizes (computed exactly by max-flow, cross-checked by
-brute force) obey the MSP dominator bounds.
+minimum dominator sizes (computed exactly as the most vertex-disjoint
+source-target paths, cross-checked by exhaustive search) obey the MSP
+dominator bounds.
 """
 
 from collections import Counter

@@ -11,10 +11,12 @@ product plus a summation tree per output entry (left-deep for the iterative
 variant, balanced for the block-recursive one).
 
 ``min_dominator_size`` computes the exact minimum size of a set of vertices
-intercepting every path from a chosen source set to a chosen target set,
-via a unit-vertex-capacity max-flow (vertex splitting); endpoints are
-cut-eligible.  An exhaustive-search twin serves as an independent oracle on
-tiny graphs.
+intercepting every path from a chosen source set to a chosen target set
+(endpoints are cut-eligible) as the most vertex-disjoint source-target
+paths, found by augmenting paths on the implicit vertex-split graph
+restricted to the targets' ancestor cone.  An exhaustive-search twin,
+which tests candidate sets by bitmask sweeps in topological order, serves
+as an independent oracle on tiny graphs.
 
 The ``verify_*`` functions check, exhaustively or by sampling, the facts
 used by the bound module: encoder output neighborhoods are pairwise
@@ -323,76 +325,72 @@ def verify_encoder_connectivity(enc: EncoderGraph) -> EncoderConnectivityReport:
 # dominator sets
 # ---------------------------------------------------------------------------
 
-class _Dinic:
-    def __init__(self, n):
-        self.n = n
-        self.adj = [[] for _ in range(n)]
-
-    def add(self, u, v, cap):
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def maxflow(self, s, t):
-        flow = 0
-        INF = float("inf")
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for e in self.adj[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        q.append(e[0])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u, f):
-                if u == t:
-                    return f
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        d = dfs(v, min(f, e[1]))
-                        if d > 0:
-                            e[1] -= d
-                            self.adj[v][e[2]][1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                f = dfs(s, INF)
-                if f == 0:
-                    break
-                flow += f
-
-
 def min_dominator_size(cdag: Cdag, targets, sources) -> int:
-    """Exact minimum dominator size via unit-vertex-capacity max-flow.
+    """Exact minimum dominator size: the most vertex-disjoint source-target
+    paths (Menger), found one augmenting path at a time.
 
     Every vertex, including sources and targets, may be in the dominator.
+    No augmenting path leaves the targets' ancestor cone, so the search runs
+    on the cone only, on the implicit vertex-split graph: state ``2v`` is
+    the entry copy of v, ``2v + 1`` its exit copy, joined by a unit arc.
+    The flow lives in ``into`` and ``outof``, the flow predecessor and
+    successor of each vertex that carries flow (-1 for the super-source and
+    the sink).  Each search is depth first; there are at most
+    min(|targets|, |sources|) + 1 of them.
     """
     targets = set(targets)
-    sources = set(sources)
-    if not targets:
-        return 0
-    n = cdag.num_vertices
-    big = n + 7
-    net = _Dinic(2 * n + 2)
-    s_node, t_node = 2 * n, 2 * n + 1
-    for v in range(n):
-        net.add(2 * v, 2 * v + 1, 1)
-    for u, v in cdag.edges:
-        net.add(2 * u + 1, 2 * v, big)
-    for v in sources:
-        net.add(s_node, 2 * v, big)
-    for v in targets:
-        net.add(2 * v + 1, t_node, big)
-    return net.maxflow(s_node, t_node)
+    succ, pred = cdag.successors(), cdag.predecessors()
+    cone = set(targets)
+    stack = list(cone)
+    while stack:
+        for u in pred[stack.pop()]:
+            if u not in cone:
+                cone.add(u)
+                stack.append(u)
+    starts = [2 * v for v in set(sources) if v in cone]
+    into, outof = {}, {}
+    flow = 0
+    while True:
+        parent = dict.fromkeys(starts, -1)
+        stack = list(starts)
+        end = None
+        while stack and end is None:
+            x = stack.pop()
+            v = x >> 1
+            if x & 1:  # exit copy: any arc forward, or back over v's unit arc
+                nxt = [2 * w for w in succ[v] if w in cone]
+                if v in into:
+                    nxt.append(x - 1)
+            elif v not in into:
+                nxt = (x + 1,)
+            elif into[v] >= 0:  # back along the flow arc into v
+                nxt = (2 * into[v] + 1,)
+            else:  # v's flow comes from the super-source: a dead end
+                continue
+            for y in nxt:
+                if y not in parent:
+                    parent[y] = x
+                    if y & 1 and y >> 1 in targets:
+                        end = y
+                        break
+                    stack.append(y)
+        if end is None:
+            return flow
+        flow += 1
+        outof[end >> 1] = -1
+        y = end
+        while y >= 0:
+            x = parent[y]
+            if not y & 1:  # arrival at an entry copy
+                v = y >> 1
+                if x < 0:
+                    into[v] = -1
+                elif x >> 1 != v:
+                    into[v] = x >> 1
+                    outof[x >> 1] = v
+                else:  # v's unit arc cancelled: v carries no flow now
+                    del into[v], outof[v]
+            y = x
 
 
 def _path_universe(cdag, targets, sources):
@@ -416,37 +414,35 @@ def _path_universe(cdag, targets, sources):
 def min_dominator_size_exhaustive(cdag: Cdag, targets, sources) -> int:
     """Independent oracle: smallest vertex subset intercepting all paths.
 
-    Only meant for graphs whose source-target path universe is tiny.
+    Tries candidate sets in order of size over the path universe (vertices
+    both reachable from a source and reaching a target).  Each candidate is
+    tested by one sweep over the universe in topological order on int
+    bitmasks: a vertex outside the candidate is reached if it is a source
+    or has a reached predecessor; the candidate dominates iff no target is
+    reached.  Only meant for graphs whose path universe is tiny.
     """
-    targets = set(targets)
     sources = set(sources)
-    if not targets:
-        return 0
-    universe = sorted(_path_universe(cdag, targets, sources))
-    succ = cdag.successors()
+    universe = _path_universe(cdag, targets, sources)
+    order = [v for v in cdag.topo_order() if v in universe]
+    bit = {v: 2 << i for i, v in enumerate(order)}  # bit 1: a super-source, always reached
+    pred = cdag.predecessors()
+    sweep = [(bit[v], sum(bit[u] for u in pred[v] if u in bit) | (v in sources)) for v in order]
+    target_mask = sum(bit[v] for v in set(targets) if v in bit)
 
-    def is_dominator(dom):
-        live = [s for s in sources if s not in dom]
-        if any(v in targets for v in live):
-            return False
-        seen = set(live)
-        q = deque(live)
-        while q:
-            u = q.popleft()
-            for v in succ[u]:
-                if v in dom or v in seen:
-                    continue
-                if v in targets:
-                    return False
-                seen.add(v)
-                q.append(v)
-        return True
+    def is_dominator(cut):
+        reached = 1
+        for b, p in sweep:
+            if reached & p and not cut & b:
+                reached |= b
+        return not reached & target_mask
 
-    for k in range(len(universe) + 1):
-        for dom in itertools.combinations(universe, k):
-            if is_dominator(set(dom)):
+    # the targets always dominate, so the last vertices go first: on the
+    # deciding size a witness tends to turn up early
+    for k in range(len(order) + 1):
+        for cut in itertools.combinations(reversed(bit.values()), k):
+            if is_dominator(sum(cut)):
                 return k
-    return len(universe)
+    return len(order)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ verify
     sampled dominator-bound checks on small built-in plans.
     ``--scheme-file`` points at a JSON scheme to check instead of the
     registered ones; ``--max-vertices 0`` skips the dominator suites.
-    Exits 1 on any failure, 2 on a malformed scheme file.
+    Exits 1 on any failure, 2 on a malformed scheme file or a negative
+    ``--max-vertices``.
 
 bounds --plan FILE --M M --B B [--P P --Bm BM] [--msp-threshold T]
     Evaluate the sequential (and optionally parallel) lower bound for the
@@ -123,6 +124,8 @@ def _scheme_correct(scheme: FastScheme, trials: int = 100) -> bool:
 
 
 def cmd_verify(args) -> int:
+    if args.max_vertices < 0:
+        raise ValueError(f"--max-vertices must be at least 0, got {args.max_vertices}")
     detail = {"encoders": [], "schemes": [], "dominator": []}
     ok = True
 

@@ -147,7 +147,7 @@ class StandardLeaf:
             raise ValueError(f"leaf size must be a power of two, got {self.size}")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class FastNode:
     scheme: FastScheme
     children: tuple  # exactly 7 plans, ordered by sub-problem index
@@ -170,6 +170,36 @@ class FastNode:
         object.__setattr__(self, "size", size)
         if self.size < 2:
             raise ValueError("fast node requires size >= 2")
+        # structural hash, built once from the children's: hashing the tree
+        # field by field would walk a shared subtree once per path to it.
+        # The scheme enters by its name, whose hash Python caches.
+        object.__setattr__(self, "_hash", hash((self.scheme.id, self.children)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes, and so ``_hash``, differ
+        # between processes
+        return FastNode, (self.scheme, self.children)
+
+    def __eq__(self, other):
+        if not isinstance(other, FastNode):
+            return NotImplemented
+        return _same_plan(self, other, set())
+
+
+def _same_plan(a, b, equal_pairs) -> bool:
+    """Structural equality that compares each pair of shared subtrees once;
+    ``equal_pairs`` holds the ``(id, id)`` pairs already under comparison."""
+    if a is b or (id(a), id(b)) in equal_pairs:
+        return True
+    if not isinstance(a, FastNode) or not isinstance(b, FastNode):
+        return a == b
+    if a._hash != b._hash or a.scheme != b.scheme:
+        return False
+    equal_pairs.add((id(a), id(b)))
+    return all(_same_plan(x, y, equal_pairs) for x, y in zip(a.children, b.children))
 
 
 # a PEP 604 union, not typing.Union: typing caches every Union it builds,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -243,20 +244,39 @@ def test_flow_equals_exhaustive_on_small_graphs():
     assert checked == 21
 
 
+def brute_force_dominator(n, edges, targets, sources):
+    """Smallest vertex set meeting every source-target path, trying all sets
+    by size; vertices are numbered in topological order."""
+    for k in range(n + 1):
+        for cut in map(set, itertools.combinations(range(n), k)):
+            reached = {v for v in sources if v not in cut}
+            for u, v in sorted(edges):
+                if u in reached and v not in cut:
+                    reached.add(v)
+            if not reached & set(targets):
+                return k
+
+
 def test_flow_equals_exhaustive_on_random_dags():
+    # interior sources, whose predecessors may already carry flow; sources
+    # that are targets; isolated vertices; up to 6 targets on 16 vertices
     rng = random.Random(1)
-    for trial in range(25):
-        n = rng.randint(6, 14)
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.3:
-                    edges.append((u, v))
+    for trial in range(300):
+        n = rng.randint(6, 16)
+        linked = n - rng.randint(0, 2)  # the vertices from here on are isolated
+        density = rng.choice((0.2, 0.35, 0.5))
+        edges = [(u, v) for u in range(linked) for v in range(u + 1, linked)
+                 if rng.random() < density]
         g = manual_cdag(n, edges)
-        sources = [v for v in range(n) if not g.predecessors()[v]] or [0]
-        targets = rng.sample(range(n), rng.randint(1, 3))
-        assert (min_dominator_size(g, targets, sources)
-                == min_dominator_size_exhaustive(g, targets, sources))
+        roots = [v for v in range(n) if not g.predecessors()[v]]
+        sources = (rng.sample(roots, rng.randint(1, len(roots)))
+                   + rng.sample(range(n), rng.randint(0, 4)))
+        targets = rng.sample(range(n), rng.randint(1, 6))
+        if trial % 3 == 0:
+            targets[0] = rng.choice(sources)
+        want = brute_force_dominator(n, edges, targets, sources)
+        assert min_dominator_size(g, targets, sources) == want, (edges, targets, sources)
+        assert min_dominator_size_exhaustive(g, targets, sources) == want
 
 
 def test_strassen_output_dominator():
@@ -310,3 +330,72 @@ def test_dominator_type1_frozen_examples():
     # a full dot product in a 4x4 leaf touches a whole row of A
     targets = [prods[(0, k, 0)] for k in range(4)]
     assert min_dominator_size(g, targets, y) >= 4
+
+
+# (plan, M, seed) -> ((checked, skipped, min_slack) of the Type 2 report,
+# the same of the Type 1 report, number and sum of the dominator sizes the
+# two computed), over criterion 7's plans and sample counts; every report
+# passed with no failures.  Recorded from the Dinic max-flow this module
+# used before the cone-restricted augmenting paths.
+PINNED_REPORTS = {
+    (0, 1, 1): ((21, 0, 0.5), (0, 0, 0.0), 21, 46),
+    (0, 1, 101): ((21, 0, 0.5), (0, 0, 0.0), 21, 46),
+    (0, 4, 4): ((21, 0, 0.5), (0, 0, 0.0), 21, 47),
+    (0, 4, 104): ((21, 0, 0.5), (0, 0, 0.0), 21, 42),
+    (1, 1, 1): ((25, 0, 0.5), (0, 0, 0.0), 25, 44),
+    (1, 1, 101): ((25, 0, 0.5), (0, 0, 0.0), 25, 54),
+    (1, 4, 4): ((25, 0, 0.5), (0, 0, 0.0), 25, 135),
+    (1, 4, 104): ((25, 0, 0.5), (0, 0, 0.0), 25, 116),
+    (2, 1, 1): ((0, 0, 0.0), (67, 0, 0), 67, 496),
+    (2, 1, 101): ((0, 0, 0.0), (67, 0, 0), 67, 535),
+    (2, 4, 4): ((25, 0, 0.5), (0, 0, 0.0), 25, 135),
+    (2, 4, 104): ((25, 0, 0.5), (0, 0, 0.0), 25, 116),
+    (3, 1, 1): ((0, 0, 0.0), (19, 0, 0), 19, 413),
+    (3, 1, 101): ((0, 0, 0.0), (19, 0, 0), 19, 368),
+    (3, 4, 4): ((0, 0, 0.0), (0, 0, 0.0), 0, 0),
+    (3, 4, 104): ((0, 0, 0.0), (0, 0, 0.0), 0, 0),
+    (4, 1, 1): ((0, 0, 0.0), (403, 0, 0), 403, 3016),
+    (4, 1, 101): ((0, 0, 0.0), (403, 0, 0), 403, 3052),
+    (4, 4, 4): ((25, 0, 0.5), (0, 0, 0.0), 25, 173),
+    (4, 4, 104): ((25, 0, 0.5), (0, 0, 0.0), 25, 168),
+    (5, 1, 1): ((0, 0, 0.0), (19, 0, 0), 19, 1630),
+    (5, 1, 101): ((0, 0, 0.0), (19, 0, 0), 19, 1447),
+    (5, 4, 4): ((0, 0, 0.0), (19, 0, 0.0), 19, 1613),
+    (5, 4, 104): ((0, 0, 0.0), (19, 0, 0.0), 19, 1152),
+    (6, 1, 1): ((25, 0, 0.5), (139, 0, 0), 164, 1832),
+    (6, 1, 101): ((25, 0, 0.5), (139, 0, 0), 164, 1754),
+    (6, 4, 4): ((25, 0, 0.5), (27, 0, 0.0), 52, 836),
+    (6, 4, 104): ((25, 0, 0.5), (27, 0, 0), 52, 779),
+}
+
+
+def test_dominator_reports_pinned(monkeypatch):
+    import hybridmm.cdag as cdag_module
+    sizes = []
+
+    def recorded(g, targets, sources):
+        sizes.append(min_dominator_size(g, targets, sources))
+        return sizes[-1]
+
+    monkeypatch.setattr(cdag_module, "min_dominator_size", recorded)
+    plans = [uniform_plan(2, 1), uniform_plan(4, 1), uniform_plan(4, 2),
+             uniform_plan(4, 4), uniform_plan(8, 2), uniform_plan(8, 8),
+             random_plan(8, 0.5, seed=1)]
+    got = {}
+    for i, plan in enumerate(plans):
+        g = build_cdag(plan)
+        for m in (1, 4):
+            for seed in (m, m + 100):
+                sizes.clear()
+                reports = (verify_dominator_type2(g, m, max_samples=16, seed=seed),
+                           verify_dominator_type1(g, m, max_samples=10, seed=seed))
+                assert all(r.passed and not r.failures for r in reports)
+                got[(i, m, seed)] = (*((r.checked, r.skipped, r.min_slack) for r in reports),
+                                     len(sizes), sum(sizes))
+    assert got == PINNED_REPORTS
+
+    sizes.clear()
+    rep = verify_dominator_type2(build_cdag(uniform_plan(16, 2)), 4, max_samples=0)
+    assert (rep.passed, rep.checked, rep.skipped, rep.min_slack, rep.failures) == (
+        True, 9, 0, 0.5, [])
+    assert sizes == [16, 1, 1, 1, 1, 1, 1, 1, 1]

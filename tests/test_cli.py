@@ -33,6 +33,13 @@ def test_verify_skips_dominator_checks(capsys):
     assert "SKIPPED" in capsys.readouterr().out
 
 
+def test_verify_negative_max_vertices_exits_2(capsys):
+    assert main(["verify", "--max-vertices", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-vertices must be at least 0" in captured.err
+    assert "verify: PASS" not in captured.out
+
+
 def test_verify_broken_scheme_fails(tmp_path, capsys):
     scheme = {
         "id": "broken",

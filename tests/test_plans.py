@@ -162,6 +162,27 @@ def test_serialize_round_trip():
         assert parse_plan(serialize_plan(plan)) == plan
 
 
+def test_hash_and_equality_visit_shared_subtrees_once():
+    # 7^20 leaves: walking every path, as a field-by-field hash does, would
+    # never return
+    t0 = time.perf_counter()
+    big = uniform_plan(2**20, 1)
+    assert hash(big) == hash(uniform_plan(2**20, 1))
+    assert big == uniform_plan(2**20, 1)
+    assert big != uniform_plan(2**20, 1, variant=StandardVariant.BLOCK_RECURSIVE)
+    assert big != uniform_plan(2**20, 2)
+    assert time.perf_counter() - t0 < 1.0
+
+    # plans built apart share no subtree with each other
+    def mixed(last_n0):
+        return FastNode(STRASSEN, (uniform_plan(8, 1),) * 6 + (uniform_plan(8, last_n0),))
+
+    assert mixed(2) == mixed(2) and hash(mixed(2)) == hash(mixed(2))
+    assert mixed(2) != mixed(1)
+    plan = random_plan(16, 0.7, seed=5)
+    assert {plan: 1}[parse_plan(serialize_plan(plan))] == 1
+
+
 def test_parse_leaf_format():
     plan = parse_plan("S[iterative,n=4]")
     assert plan == StandardLeaf(IT, 4)
