@@ -20,9 +20,11 @@ perfect square and the size ratios are powers of two.
 ``sequential_bound`` counts nu1, nu2 and |T| once per distinct subtree;
 ``enumerate_msps`` lists the MSPs with their paths.
 
-All size comparisons against the threshold 2*sqrt(M) are done in integers
-(s >= 2*sqrt(M) iff s*s >= 4*M); a custom float threshold can be supplied
-for sensitivity checks.
+One rule decides every MSP: ``_msp_type`` classifies a node whose
+ancestors are all fast, and both walks, as well as ``cdag``'s Type 2 check
+of an improper root, call it.  Its size comparisons go through
+``_vs_threshold``, in integers (s >= 2*sqrt(M) iff s*s >= 4*M), or against
+a custom float threshold supplied for sensitivity checks.
 """
 
 from __future__ import annotations
@@ -48,17 +50,19 @@ class MspDescriptor:
     path: tuple  # child indices from the root; () is the (improper) root
 
 
-def _at_least_threshold(size: int, m: int, threshold: Optional[float]) -> bool:
-    if threshold is None:
-        return size * size >= 4 * m
-    return size >= threshold
+def _vs_threshold(size: int, m: int, threshold: Optional[float]) -> int:
+    """The sign of size - 2*sqrt(M), or of size - threshold when one is given."""
+    d = size * size - 4 * m if threshold is None else size - threshold
+    return (d > 0) - (d < 0)
 
 
-def _root_excluded(size: int, m: int, threshold: Optional[float]) -> bool:
-    # No MSPs at all when the whole problem is at or below the threshold.
-    if threshold is None:
-        return size * size <= 4 * m
-    return size <= threshold
+def _msp_type(node: RecursionPlan, m: int, threshold: Optional[float]):
+    """How a node whose ancestors are all fast enters the MSPs: 1 or 2 if it
+    is an MSP of that type, 0 if its children must be classified instead,
+    None if nothing at or below it is an MSP."""
+    if isinstance(node, StandardLeaf):
+        return 1 if _vs_threshold(node.size, m, threshold) >= 0 else None
+    return 2 if _vs_threshold(node.size // 2, m, threshold) < 0 else 0
 
 
 def enumerate_msps(plan: RecursionPlan, m: int,
@@ -70,39 +74,35 @@ def enumerate_msps(plan: RecursionPlan, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if _root_excluded(plan.size, m, threshold):
+    if _vs_threshold(plan.size, m, threshold) <= 0:
         return []
 
     out = []
     stack = [(plan, ())]
     while stack:
         node, path = stack.pop()
-        if isinstance(node, StandardLeaf):
-            if _at_least_threshold(node.size, m, threshold):
-                out.append(MspDescriptor(1, node.size, path))
-            continue
-        if not _at_least_threshold(node.size // 2, m, threshold):
-            out.append(MspDescriptor(2, node.size, path))
-            continue
-        # pushed in reverse so that MSPs come out in path order
-        for i in range(6, -1, -1):
-            stack.append((node.children[i], path + (i,)))
+        kind = _msp_type(node, m, threshold)
+        if kind:
+            out.append(MspDescriptor(kind, node.size, path))
+        elif kind == 0:
+            # pushed in reverse so that MSPs come out in path order
+            for i in range(6, -1, -1):
+                stack.append((node.children[i], path + (i,)))
     return out
 
 
 def _count_msps(plan: RecursionPlan, m: int, threshold: Optional[float] = None):
     """(nu1, nu2, |T|) of ``enumerate_msps``, walking a shared subtree once."""
-    if _root_excluded(plan.size, m, threshold):
+    if _vs_threshold(plan.size, m, threshold) <= 0:
         return 0, 0, 0
     memo = {}
 
     def walk(node):
-        if isinstance(node, StandardLeaf):
-            if _at_least_threshold(node.size, m, threshold):
-                return 1, 0, node.size ** 3
-            return 0, 0, 0
-        if not _at_least_threshold(node.size // 2, m, threshold):
-            return 0, 1, 0
+        kind = _msp_type(node, m, threshold)
+        if kind == 1:
+            return 1, 0, node.size ** 3
+        if kind != 0:
+            return (0, 1, 0) if kind == 2 else (0, 0, 0)
         key = id(node)
         if key not in memo:
             memo[key] = tuple(map(sum, zip(*map(walk, node.children))))
@@ -128,13 +128,10 @@ class BoundReport:
     term_t: object  # Fraction when sqrt(M) is integral, else float
     term_nu2: object  # Fraction
     sequential_bound: object
-    c: float = BOUND_CONSTANT_C
-    parallel_bound: object = None
+    c = BOUND_CONSTANT_C  # a class constant, not a field
 
     def to_dict(self) -> dict:
         def num(x):
-            if x is None:
-                return None
             if isinstance(x, Fraction):
                 return int(x) if x.denominator == 1 else float(x)
             return x
@@ -151,7 +148,7 @@ class BoundReport:
             "term_nu2": num(self.term_nu2),
             "sequential_bound": num(self.sequential_bound),
             "c": self.c,
-            "parallel_bound": num(self.parallel_bound),
+            "parallel_bound": None,  # ``bounds --P`` fills it in
         }
 
     def to_json(self) -> str:

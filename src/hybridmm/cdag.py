@@ -35,7 +35,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .bounds import enumerate_msps
+from .bounds import _msp_type, enumerate_msps
 from .plans import FastNode, FastScheme, RecursionPlan, StandardLeaf, StandardVariant
 
 GLOBAL_INPUT = "GLOBAL_INPUT"
@@ -57,33 +57,29 @@ class Cdag:
     node_inputs: dict = field(default_factory=dict)  # path -> (a_grid, b_grid)
     node_outputs: dict = field(default_factory=dict)  # path -> grid
     elem_products: dict = field(default_factory=dict)  # path -> {(i,k,j): vid}
-    _succ: list = None
-    _pred: list = None
+    _succ: list = field(default_factory=list)  # vertex -> heads of its edges
+    _pred: list = field(default_factory=list)  # vertex -> tails of its edges
 
     def add_vertex(self, role: str, path: tuple) -> int:
         self.roles.append(role)
         self.sub_cdag_map.append(path)
+        self._succ.append([])
+        self._pred.append([])
         return len(self.roles) - 1
 
     def add_edge(self, u: int, v: int):
         self.edges.append((u, v))
-        self._succ = self._pred = None
+        self._succ[u].append(v)
+        self._pred[v].append(u)
 
     @property
     def num_vertices(self) -> int:
         return len(self.roles)
 
     def successors(self):
-        if self._succ is None:
-            self._succ = [[] for _ in range(self.num_vertices)]
-            self._pred = [[] for _ in range(self.num_vertices)]
-            for u, v in self.edges:
-                self._succ[u].append(v)
-                self._pred[v].append(u)
         return self._succ
 
     def predecessors(self):
-        self.successors()
         return self._pred
 
     def global_inputs(self):
@@ -287,10 +283,13 @@ def _max_matching(adj, outputs):
 
 @dataclass
 class EncoderConnectivityReport:
-    passed: bool
     checked_subsets: int
     failures: list  # (subset, matching, required)
     min_margin: int  # min over subsets of matching - required
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def __bool__(self):
         return self.passed
@@ -318,7 +317,7 @@ def verify_encoder_connectivity(enc: EncoderGraph) -> EncoderConnectivityReport:
                 min_margin = margin
             if matching < required:
                 failures.append((subset, matching, required))
-    return EncoderConnectivityReport(not failures, checked, failures, min_margin)
+    return EncoderConnectivityReport(checked, failures, min_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +450,14 @@ def min_dominator_size_exhaustive(cdag: Cdag, targets, sources) -> int:
 
 @dataclass
 class DominatorCheckReport:
-    passed: bool = True
     checked: int = 0
     skipped: int = 0
     failures: list = field(default_factory=list)  # (description, observed, required)
     min_slack: float = 0.0  # min over samples of observed - required; 0.0 if none
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def __bool__(self):
         return self.passed
@@ -470,19 +472,15 @@ class DominatorCheckReport:
         self.checked += 1
         if observed + 1e-9 < required:
             self.failures.append((description, observed, required))
-            self.passed = False
 
 
 def _type2_output_paths(cdag: Cdag, m: int):
-    msps = enumerate_msps(cdag.plan, m)
-    paths = [d.path for d in msps if d.msp_type == 2]
-    if not paths:
+    paths = [d.path for d in enumerate_msps(cdag.plan, m) if d.msp_type == 2]
+    if not paths and _msp_type(cdag.plan, m, None) == 2:
         # boundary case: a fast root whose children are already below the
         # threshold generates no MSP by definition, but its outputs still
         # obey the Type 2 dominator bound and are worth checking.
-        node = cdag.plan
-        if isinstance(node, FastNode) and (node.size // 2) ** 2 < 4 * m:
-            paths = [()]
+        paths = [()]
     return paths
 
 

@@ -8,9 +8,12 @@ verify
     connectivity) and 2x2 correctness of every registered scheme, and the
     sampled dominator-bound checks on small built-in plans.
     ``--scheme-file`` points at a JSON scheme to check instead of the
-    registered ones; ``--max-vertices 0`` skips the dominator suites.
-    Exits 1 on any failure, 2 on a malformed scheme file or a negative
-    ``--max-vertices``.
+    registered ones; ``--max-vertices 0`` skips the dominator suites.  A
+    plan with no MSP at a cache size leaves its dominator check nothing to
+    sample, and its line says ``NO MSP`` instead of ``PASS``.  ``--json``
+    writes the detail to a file, opened before any check runs.  Exits 1 on
+    any failure, 2 on a malformed scheme file, an unwritable ``--json``
+    path or a negative ``--max-vertices``.
 
 bounds --plan FILE --M M --B B [--P P --Bm BM] [--msp-threshold T]
     Evaluate the sequential (and optionally parallel) lower bound for the
@@ -126,6 +129,17 @@ def _scheme_correct(scheme: FastScheme, trials: int = 100) -> bool:
 def cmd_verify(args) -> int:
     if args.max_vertices < 0:
         raise ValueError(f"--max-vertices must be at least 0, got {args.max_vertices}")
+    # an unwritable report path fails before any check runs
+    with (open(args.json, "w") if args.json else nullcontext()) as report:
+        ok, detail = _run_verify(args)
+        if report:
+            json.dump(detail, report, indent=2, sort_keys=True)
+    print("verify:", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def _run_verify(args):
+    """Run and print every check; returns (all passed, JSON detail)."""
     detail = {"encoders": [], "schemes": [], "dominator": []}
     ok = True
 
@@ -176,13 +190,16 @@ def cmd_verify(args) -> int:
                 r1 = verify_dominator_type1(graph, m, max_samples=16)
                 passed = r2.passed and r1.passed
                 ok = ok and passed
-                print(f"dominator {name} M={m}: {'PASS' if passed else 'FAIL'} "
-                      f"({r2.checked + r1.checked} subset checks)")
-                detail["dominator"].append({
-                    "plan": name, "M": m, "type2_checked": r2.checked,
-                    "type1_checked": r1.checked, "passed": passed,
-                    "failures": r2.failures + r1.failures,
-                })
+                checked = r2.checked + r1.checked
+                entry = {"plan": name, "M": m, "type2_checked": r2.checked,
+                         "type1_checked": r1.checked, "passed": passed,
+                         "failures": r2.failures + r1.failures}
+                status = "PASS" if passed else "FAIL"
+                if not checked:  # the plan has no MSP at this M
+                    status = "NO MSP"
+                    entry["status"] = "NO_MSP"
+                print(f"dominator {name} M={m}: {status} ({checked} subset checks)")
+                detail["dominator"].append(entry)
         # flow vs exhaustive oracle agreement on the smallest graph
         g2 = build_cdag(uniform_plan(2, 1))
         outs, ins = g2.global_outputs(), g2.global_inputs()
@@ -193,12 +210,7 @@ def cmd_verify(args) -> int:
         print(f"dominator oracle agreement (n=2): {'PASS' if agree else 'FAIL'} "
               f"(flow={flow}, exhaustive={brute})")
         detail["dominator"].append({"oracle_flow": flow, "oracle_exhaustive": brute})
-
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(detail, fh, indent=2, sort_keys=True)
-    print("verify:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return ok, detail
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ A schedule is an ordered list of moves over a single linear address space:
                    cache occupancy does not grow)
   E addr     discard a cached value
 
-Every value has a home address; addresses 0..2n^2-1 hold the inputs (A then
-B, row-major), the next n^2 hold the output C, and the area above is an
-arena for schedule temporaries.  Inputs start in slow memory; the cache is
-empty.  Each R/W move of k consecutive words counts as one I/O operation.
+Every value has one home address, and it lives only there: R copies slow
+word ``addr`` into cache slot ``addr``, W copies it back, and C creates a
+value in its own slot.  So a value has at most one cache copy, and it is
+in slow memory exactly when slow word ``addr`` holds it.  Addresses
+0..2n^2-1 hold the inputs (A then B, row-major), the next n^2 hold the
+output C, and the area above is an arena for schedule temporaries.  Inputs
+start in slow memory; the cache is empty.  Each R/W move of k consecutive
+words counts as one I/O operation.
 
 ``simulate`` validates a schedule and counts I/O; ``check_parsimonious``
 checks that no value is loaded or computed in vain: a value read into cache
@@ -91,9 +95,12 @@ class Schedule:
 class IoStats:
     reads: int
     writes: int
-    io_total: int
     peak_cache: int
     computes: int
+
+    @property
+    def io_total(self) -> int:
+        return self.reads + self.writes
 
 
 class ScheduleError(Exception):
@@ -166,7 +173,7 @@ def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
                 raise ScheduleError("ILLEGAL_OPERAND", step, f"evict of {addr} not in cache")
             cache.discard(addr)
 
-    return IoStats(reads, writes, reads + writes, peak, computes)
+    return IoStats(reads, writes, peak, computes)
 
 
 @dataclass
@@ -192,77 +199,66 @@ def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
     out_hi = out_lo + schedule.layout.n ** 2
     violations = []
 
-    # value: [origin_is_compute, consumed, cache_copies, in_slow]
-    slow = {}
-    for a in schedule.layout.input_range():
-        slow[a] = [False, False, 0, True]
-    cache = {}  # addr -> [value, used_since_load, from_read]
+    # A value is [computed, consumed]; by the one-home rule (module
+    # docstring) it is in slow memory exactly when ``slow[addr] is value``.
+    slow = {a: [False, False] for a in schedule.layout.input_range()}
+    cache = {}  # addr -> value
+    unused_reads = set()  # cached addresses read in and not used since
 
-    def drop_cache_copy(addr, copy, step):
-        val = copy[0]
-        val[2] -= 1
-        if copy[2] and not copy[1]:
+    def drop(addr, val, step):
+        if addr in unused_reads:
+            unused_reads.remove(addr)
             violations.append((step, f"value read into cache at {addr} evicted/overwritten unused"))
-            return
-        if val[0] and not val[1] and not val[3] and val[2] == 0 and not out_lo <= addr < out_hi:
+        elif val[0] and not val[1] and slow.get(addr) is not val and not out_lo <= addr < out_hi:
             violations.append((step, f"computed value at {addr} left memory without being used"))
 
     for step, mv in enumerate(schedule.moves):
         tag = mv[0]
         if tag == MV_C:
-            out, _, x, y = mv[1], mv[2], mv[3], mv[4]
-            cx = cache.get(x)
-            if cx is not None:
-                cx[1] = True
-                cx[0][1] = True
-            if y >= 0:
-                cy = cache.get(y)
-                if cy is not None:
-                    cy[1] = True
-                    cy[0][1] = True
+            out, x, y = mv[1], mv[3], mv[4]
+            for a in (x, y) if y >= 0 else (x,):
+                val = cache.get(a)
+                if val is not None:
+                    val[1] = True
+                    unused_reads.discard(a)
             old = cache.get(out)
             if old is not None:
-                drop_cache_copy(out, old, step)
-            val = [True, False, 1, False]
-            cache[out] = [val, False, False]
+                drop(out, old, step)
+            cache[out] = [True, False]
         elif tag == MV_R:
             addr, k = mv[1], mv[2]
             for a in range(addr, addr + k):
                 old = cache.get(a)
                 if old is not None:
-                    drop_cache_copy(a, old, step)
+                    drop(a, old, step)
                 val = slow.get(a)
                 if val is None:
-                    val = [False, False, 0, True]
-                    slow[a] = val
-                val[2] += 1
-                cache[a] = [val, False, True]
+                    val = slow[a] = [False, False]
+                cache[a] = val
+                unused_reads.add(a)
         elif tag == MV_W:
             addr, k = mv[1], mv[2]
             for a in range(addr, addr + k):
-                copy = cache.get(a)
-                if copy is None:
+                val = cache.get(a)
+                if val is None:
                     continue
-                if copy[2] and not copy[1]:
+                if a in unused_reads:
                     violations.append((step, f"read value at {a} written back without being used"))
                 old = slow.get(a)
-                val = copy[0]
-                if old is not None and old is not val:
-                    old[3] = False
-                    if old[0] and not old[1] and old[2] == 0 and not out_lo <= a < out_hi:
-                        violations.append((step, f"computed value at {a} overwritten in slow memory unused"))
+                if (old is not None and old is not val and old[0] and not old[1]
+                        and not out_lo <= a < out_hi):
+                    violations.append((step, f"computed value at {a} overwritten in slow memory unused"))
                 slow[a] = val
-                val[3] = True
         else:  # MV_E
             addr = mv[1]
-            copy = cache.pop(addr, None)
-            if copy is not None:
-                drop_cache_copy(addr, copy, step)
+            val = cache.pop(addr, None)
+            if val is not None:
+                drop(addr, val, step)
 
     # values abandoned in cache when the schedule ends are discarded values
     end = len(schedule.moves)
-    for addr, copy in cache.items():
-        drop_cache_copy(addr, copy, end)
+    for addr, val in cache.items():
+        drop(addr, val, end)
 
     return ParsimonyReport(violations)
 

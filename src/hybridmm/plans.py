@@ -151,7 +151,7 @@ class StandardLeaf:
 class FastNode:
     scheme: FastScheme
     children: tuple  # exactly 7 plans, ordered by sub-problem index
-    size: int = field(default=0)
+    size: int = field(init=False)  # twice the children's size
 
     def __repr__(self):
         # the children are left out: a uniform plan shares one subtree per
@@ -164,12 +164,7 @@ class FastNode:
         child_size = self.children[0].size
         if any(c.size != child_size for c in self.children):
             raise ValueError("children must all have the same size")
-        size = 2 * child_size
-        if self.size and self.size != size:
-            raise ValueError(f"size {self.size} inconsistent with children of size {child_size}")
-        object.__setattr__(self, "size", size)
-        if self.size < 2:
-            raise ValueError("fast node requires size >= 2")
+        object.__setattr__(self, "size", 2 * child_size)
         # structural hash, built once from the children's: hashing the tree
         # field by field would walk a shared subtree once per path to it.
         # The scheme enters by its name, whose hash Python caches.

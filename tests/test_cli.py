@@ -1,5 +1,10 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,46 @@ def test_verify_default_passes(capsys):
             assert f"encoder {scheme}.Enc_{side}: PASS (127 subset checks)" in out
         assert f"scheme {scheme} 2x2 correctness: PASS" in out
     assert "verify: PASS" in out
+
+
+def test_verify_marks_plans_without_msp(tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--json", str(path)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("dominator ") and " M=" in ln]
+    assert len(lines) == 8
+    for ln in lines:
+        if ": PASS (" in ln:
+            assert int(ln.rsplit("(", 1)[1].split()[0]) > 0, ln
+    # uniform_plan(4, 4) at M=4 is at the 2*sqrt(M) threshold: no MSP
+    assert "dominator standard(4) M=4: NO MSP (0 subset checks)" in lines
+    entries = [e for e in json.loads(path.read_text())["dominator"] if "M" in e]
+    assert [(e["plan"], e["M"]) for e in entries if e.get("status") == "NO_MSP"] == [
+        ("standard(4)", 4)]
+
+
+def test_verify_unwritable_json_fails_first(tmp_path, capsys):
+    rc = main(["verify", "--json", str(tmp_path / "missing" / "verify.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_entry_points():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hybridmm", "verify", "--max-vertices", "0"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "verify: PASS" in proc.stdout
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hybridmm"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_verify_skips_dominator_checks(capsys):

@@ -1,3 +1,8 @@
+import hashlib
+import random
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,8 @@ from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_W, OP_ADD, OP_MUL,
                              ScheduleError, check_parsimonious, dump_schedule,
                              parse_schedule, replay_values, simulate)
 from hybridmm.ringmat import Matrix, mat_mul_naive
-from hybridmm.schedules import gen_standard_blocked_schedule
+from hybridmm.plans import WINOGRAD, uniform_plan
+from hybridmm.schedules import gen_hybrid_schedule, gen_standard_blocked_schedule
 
 
 def naive_2x2_schedule():
@@ -119,6 +125,90 @@ def test_dead_read_flagged():
     # flagged when the value is discarded, here at the schedule's end
     assert report.violations[0][0] >= len(sched.moves) - 1
     assert "read" in report.violations[0][1]
+
+
+def _parsimony(moves):
+    """Violations of a hand-built n=2 schedule (A at 0-3, B at 4-7, C at
+    8-11, temporaries from 12), after checking that it is legal at M=3."""
+    sched = Schedule(moves, MemoryLayout(2))
+    simulate(sched, MachineConfig(3, 1))
+    return check_parsimonious(sched).violations
+
+
+def test_read_evicted_unused_flagged():
+    assert _parsimony([(MV_R, 0, 1), (MV_E, 0)]) == [
+        (1, "value read into cache at 0 evicted/overwritten unused")]
+
+
+def test_read_written_back_unused_flagged():
+    # flagged at the write-back, and again when the unused copy is evicted
+    assert _parsimony([(MV_R, 0, 1), (MV_W, 0, 1), (MV_E, 0)]) == [
+        (1, "read value at 0 written back without being used"),
+        (2, "value read into cache at 0 evicted/overwritten unused")]
+
+
+def test_computed_temporary_evicted_unused_flagged():
+    assert _parsimony([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 12, OP_MUL, 0, 4),
+                       (MV_E, 12), (MV_E, 0), (MV_E, 4)]) == [
+        (3, "computed value at 12 left memory without being used")]
+
+
+def test_computed_output_evicted_unused_allowed():
+    assert _parsimony([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 8, OP_MUL, 0, 4),
+                       (MV_E, 8), (MV_E, 0), (MV_E, 4)]) == []
+
+
+def test_spilled_temporary_overwritten_unused_flagged():
+    # the first product is spilled to 12, then replaced there by a second
+    # computed value before anything reads it back
+    assert _parsimony([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 12, OP_MUL, 0, 4),
+                       (MV_W, 12, 1), (MV_E, 12), (MV_C, 12, OP_ADD, 0, 4),
+                       (MV_W, 12, 1), (MV_E, 12), (MV_E, 0), (MV_E, 4)]) == [
+        (6, "computed value at 12 overwritten in slow memory unused")]
+
+
+def _one_move_mutants(moves, rng, count):
+    """Schedules that drop, duplicate or swap one move of ``moves``; most are
+    illegal, which ``check_parsimonious`` must survive."""
+    for _ in range(count):
+        mutant = list(moves)
+        i = rng.randrange(len(moves))
+        kind = rng.randrange(3)
+        if kind == 0:
+            del mutant[i]
+        elif kind == 1:
+            mutant.insert(i, mutant[i])
+        else:
+            j = min(i + rng.randint(1, 8), len(moves) - 1)
+            mutant[i], mutant[j] = mutant[j], mutant[i]
+        yield mutant
+
+
+PINNED_MUTANT_TALLY = (477, {
+    "value read into cache at # evicted/overwritten unused": 395,
+    "computed value at # left memory without being used": 281,
+    "read value at # written back without being used": 44,
+    "computed value at # overwritten in slow memory unused": 5,
+})
+PINNED_MUTANT_SHA256 = "ea95d4d759118a8508b5fbf27fe5e6bda2287eb840cf4d588504ceb96f0ff06b"
+
+
+def test_parsimony_of_one_move_mutants_pinned():
+    """400 seeded mutants each of a spilling blocked schedule, an in-cache
+    Strassen schedule and a spilling Winograd schedule with B=2; the
+    violation lists were recorded from the four-field checker this module
+    used before values were held as ``[computed, consumed]``."""
+    cases = [gen_standard_blocked_schedule(4, MachineConfig(3, 1)),
+             gen_hybrid_schedule(uniform_plan(4, 1), MachineConfig(48, 1)),
+             gen_hybrid_schedule(uniform_plan(4, 2, WINOGRAD), MachineConfig(5, 2))]
+    rng = random.Random(2024)
+    found = []
+    for sched in cases:
+        for mutant in _one_move_mutants(sched.moves, rng, 400):
+            found.append(check_parsimonious(Schedule(mutant, sched.layout)).violations)
+    kinds = Counter(re.sub(r"\d+", "#", reason) for v in found for _, reason in v)
+    assert (sum(map(bool, found)), dict(kinds)) == PINNED_MUTANT_TALLY
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == PINNED_MUTANT_SHA256
 
 
 def test_empty_schedule_parsimonious():
