@@ -40,7 +40,8 @@ rng = np.random.default_rng(1)
 A, B = Matrix.random(16, rng), Matrix.random(16, rng)
 print("replay == oracle:", replay_values(sched, A, B) == mat_mul_naive(A, B))
 
-# fast nodes stream their seven encoded operand pairs through slow memory;
+# fast nodes build the encoded operands that combine quadrants in slow
+# memory and hand single-quadrant operands to their children in place;
 # sub-problems that fit in cache run after a single read pass
 for n0 in (1, 4, 16):
     plan = uniform_plan(16, n0)

@@ -24,8 +24,9 @@ checks that no value is loaded or computed in vain: a value read into cache
 must feed a compute before it is evicted or written back, and a computed
 non-output value must feed a compute before it leaves memory entirely
 (eviction from cache does not count against a value that still has a
-current copy in slow memory, which is how accumulator spills stay
-parsimonious).
+current copy in slow memory, which is how spilled temporaries stay
+parsimonious).  A read value written back unused is reported once, at the
+write-back.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
     """Check the two parsimony rules; returns the violating steps.
 
     Assumes the schedule is legal (run ``simulate`` first).  Values written
-    to slow memory stay available there, so spilling an accumulator and
+    to slow memory stay available there, so spilling a temporary and
     reloading it later is parsimonious as long as the reloaded copy is used.
     """
     out_lo = schedule.layout.c_base
@@ -243,6 +244,8 @@ def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
                 if val is None:
                     continue
                 if a in unused_reads:
+                    # reported once: its later eviction is not reported again
+                    unused_reads.remove(a)
                     violations.append((step, f"read value at {a} written back without being used"))
                 old = slow.get(a)
                 if (old is not None and old is not val and old[0] and not old[1]

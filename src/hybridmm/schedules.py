@@ -5,20 +5,25 @@ Two generators are exposed, built by one set-up:
 ``gen_standard_blocked_schedule``
     Classic square tiling for the standard algorithm with tile side t, the
     largest power of two satisfying 3*t^2 <= M.  With M = 3 the tiling
-    degenerates to the definition triple loop with accumulator spills.  It
-    is the hybrid generator on a plan that is one standard leaf.
+    degenerates to the definition triple loop: each accumulator stays
+    resident across k beside one operand pair, every later product is
+    computed over the spent A word, and C is written once, for 2n^3 reads
+    and n^2 writes.  It is the hybrid generator on a plan that is one
+    standard leaf.
 
 ``gen_hybrid_schedule``
     Depth-first traversal of a recursion plan.  A sub-problem whose whole
     evaluation fits in cache is computed after a single read pass of its
-    operands.  Fast nodes above that threshold stream: the seven encoded
-    operand pairs are materialized in slow memory with one synchronized
-    pass over the node's inputs, children recurse, and the node's output is
-    stream-decoded from the seven sub-products.  Children small enough to
-    fit in cache are fused instead: their operands are built directly in
-    cache from the parent's quadrant blocks, skipping the slow-memory round
-    trip, and single-quadrant operand blocks are kept resident between
-    consecutive children that share them.
+    operands.  Fast nodes above that threshold stream: the encoded operands
+    that combine quadrants are materialized in slow memory with one
+    synchronized pass over the node's inputs, an operand that is a single
+    +1 quadrant (A11, A22, B11 and B22 in Strassen) is the parent's strided
+    quadrant view itself, never copied, children recurse, and the node's
+    output is stream-decoded from the seven sub-products.  Children small
+    enough to fit in cache are fused instead: their operands are built
+    directly in cache from the parent's quadrant blocks, skipping the
+    slow-memory round trip, and single-quadrant operand blocks are kept
+    resident between consecutive children that share them.
 
 The in-cache executor frees every word at its last use (inputs
 quadrant-by-quadrant, output quadrants written out as soon as they
@@ -41,7 +46,7 @@ Runs of words go through a few ``_Emitter`` primitives: ``read_run`` and
 drops it from the cache, ``flush`` writes it back and then evicts it, and
 the ``*_view`` forms apply these to each contiguous run of a ``View``
 (``View.runs``).  Loops that go one word at a time (dot products, signed
-terms, the M=3 word-wise write-backs) emit their moves inline.
+terms, the M=3 triple loop) emit their moves inline.
 
 Every {-1, 0, 1} linear combination of blocks, driven by the ``FastScheme``
 coefficient rows, takes its opcodes from one map, ``_TERM_OP`` (a term's
@@ -262,9 +267,10 @@ def _blocked_full_resident(em: _Emitter, av: View, bv: View, cv: View):
 
 
 def _blocked_spill(em: _Emitter, av: View, bv: View, cv: View):
-    # M = 3 regime: accumulators spill to slow memory between products
+    # M = 3 regime: the accumulator stays resident across k, beside one
+    # operand pair at a time.  Each later product is computed over a's slot
+    # (register semantics) and added into c, so c is written back once.
     n = av.rows
-    scratch = em.alloc(1)
     for i in range(n):
         for j in range(n):
             c_addr = cv.addr(i, j)
@@ -273,15 +279,15 @@ def _blocked_spill(em: _Emitter, av: View, bv: View, cv: View):
                 b_addr = bv.addr(k, j)
                 em.read_run(a_addr, 1)
                 em.read_run(b_addr, 1)
-                em.compute(scratch if k else c_addr, OP_MUL, a_addr, b_addr)
+                if k:
+                    em.compute(a_addr, OP_MUL, a_addr, b_addr)
+                    em.compute(c_addr, OP_ADD, c_addr, a_addr)
+                else:
+                    em.compute(c_addr, OP_MUL, a_addr, b_addr)
                 em.evict(a_addr)
                 em.evict(b_addr)
-                if k:
-                    em.read_run(c_addr, 1)
-                    em.compute(c_addr, OP_ADD, c_addr, scratch)
-                    em.evict(scratch)
-                em.write_run(c_addr, 1)
-                em.evict(c_addr)
+            em.write_run(c_addr, 1)
+            em.evict(c_addr)
 
 
 def gen_standard_blocked_schedule(n: int, cfg: MachineConfig) -> Schedule:
@@ -656,13 +662,31 @@ def _stream_fast(em, node, av, bv, cv):
     for view in held.values():
         em.evict_view(view)
     if to_materialize:
-        xa_views = [em.alloc_view(h, h) for _ in to_materialize]
-        xb_views = [em.alloc_view(h, h) for _ in to_materialize]
-        _stream_combine(em, [scheme.encode_a[i] for i in to_materialize], aq, xa_views)
-        _stream_combine(em, [scheme.encode_b[i] for i in to_materialize], bq, xb_views)
+        xa_views = _stream_operands(em, scheme.encode_a, aq, to_materialize)
+        xb_views = _stream_operands(em, scheme.encode_b, bq, to_materialize)
         for idx, xa, xb in zip(to_materialize, xa_views, xb_views):
             _gen_node(em, node.children[idx], xa, xb, m_views[idx])
     _stream_combine(em, scheme.decode, m_views, cv.quadrants(), resident_m)
+
+
+def _stream_operands(em, rows, quads, children):
+    """The operand view of each of ``children`` (encode ``rows``): a single
+    +1 term is the parent's quadrant view itself, read in place by the child
+    (strided), and every other row is built in a fresh block by one
+    ``_stream_combine`` pass."""
+    h = quads[0].rows
+    views, built_rows, built = [], [], []
+    for i in children:
+        q = _single_plus_quad(rows[i])
+        if q is None:
+            built_rows.append(rows[i])
+            built.append(em.alloc_view(h, h))
+            views.append(built[-1])
+        else:
+            views.append(quads[q])
+    if built:
+        _stream_combine(em, built_rows, quads, built)
+    return views
 
 
 def _read_incache(em, node, av, bv, cv):
