@@ -10,6 +10,11 @@ Fast schemes are stored as coefficient matrices over {-1, 0, 1}, which is
 also the single source of truth for the encoder/decoder graphs used by the
 CDAG module.
 
+Fast nodes are hash-consed: every constructor, the parser and unpickling
+return the one live node per distinct (scheme, children), so a plan holds
+each distinct subtree once and two plans are equal exactly when they are
+the same object.  Standard leaves are frozen values compared by field.
+
 Plan text format (round-trip stable, one plan per line):
 
     plan  := fast | leaf
@@ -23,8 +28,9 @@ Example: ``F[strassen](S[iterative,n=1] ... S[iterative,n=1])``.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .ringmat import is_pow2
@@ -67,6 +73,13 @@ class FastScheme:
         for rows, name in ((self.encode_a, "encode_a"), (self.encode_b, "encode_b")):
             if len({tuple(r) for r in rows}) != 7:
                 raise ValueError(f"{name} has two identical rows")
+        # hashed once, as a scheme is in every fast node's intern key; by the
+        # coefficients alone, whose hash (unlike a string's) every process shares
+        object.__setattr__(self, "_hash", hash((_rows(self.encode_a), _rows(self.encode_b),
+                                                _rows(self.decode))))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _rows(m):
@@ -147,54 +160,42 @@ class StandardLeaf:
             raise ValueError(f"leaf size must be a power of two, got {self.size}")
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class FastNode:
+    """``scheme`` applied to 7 half-size sub-plans.
+
+    Nodes are hash-consed: building one returns the live node with the same
+    scheme and children, if there is one.  So equal subtrees are one object,
+    ``==`` and ``hash`` are identity, and memos keyed by ``id(node)`` hit on
+    every copy of a subtree.  No field is set after a node is built."""
+
     scheme: FastScheme
     children: tuple  # exactly 7 plans, ordered by sub-problem index
-    size: int = field(init=False)  # twice the children's size
+    size: int  # twice the children's size
+
+    # every live fast node, by (scheme, children); an entry dies with its node
+    _nodes = weakref.WeakValueDictionary()
+
+    def __new__(cls, scheme: FastScheme, children: tuple):
+        key = (scheme, children)
+        node = cls._nodes.get(key)
+        if node is None:
+            if len(children) != 7:
+                raise ValueError("fast node needs exactly 7 children")
+            if any(c.size != children[0].size for c in children):
+                raise ValueError("children must all have the same size")
+            node = cls._nodes[key] = object.__new__(cls)
+            vars(node).update(scheme=scheme, children=children, size=2 * children[0].size)
+        return node
 
     def __repr__(self):
-        # the children are left out: a uniform plan shares one subtree per
-        # level, so expanding them grows 7x per level
+        # the children are left out: a plan shares its equal subtrees, so
+        # expanding them grows up to 7x per level
         return f"FastNode(scheme={self.scheme.id!r}, size={self.size})"
 
-    def __post_init__(self):
-        if len(self.children) != 7:
-            raise ValueError("fast node needs exactly 7 children")
-        child_size = self.children[0].size
-        if any(c.size != child_size for c in self.children):
-            raise ValueError("children must all have the same size")
-        object.__setattr__(self, "size", 2 * child_size)
-        # structural hash, built once from the children's: hashing the tree
-        # field by field would walk a shared subtree once per path to it.
-        # The scheme enters by its name, whose hash Python caches.
-        object.__setattr__(self, "_hash", hash((self.scheme.id, self.children)))
-
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        # rebuild on unpickling: string hashes, and so ``_hash``, differ
-        # between processes
+        # unpickling calls FastNode(...), which returns the live equal node
         return FastNode, (self.scheme, self.children)
-
-    def __eq__(self, other):
-        if not isinstance(other, FastNode):
-            return NotImplemented
-        return _same_plan(self, other, set())
-
-
-def _same_plan(a, b, equal_pairs) -> bool:
-    """Structural equality that compares each pair of shared subtrees once;
-    ``equal_pairs`` holds the ``(id, id)`` pairs already under comparison."""
-    if a is b or (id(a), id(b)) in equal_pairs:
-        return True
-    if not isinstance(a, FastNode) or not isinstance(b, FastNode):
-        return a == b
-    if a._hash != b._hash or a.scheme != b.scheme:
-        return False
-    equal_pairs.add((id(a), id(b)))
-    return all(_same_plan(x, y, equal_pairs) for x, y in zip(a.children, b.children))
 
 
 # a PEP 604 union, not typing.Union: typing caches every Union it builds,
@@ -207,8 +208,8 @@ def uniform_plan(n: int, n0: int, scheme: FastScheme = STRASSEN,
                  variant: StandardVariant = StandardVariant.ITERATIVE_DEF) -> RecursionPlan:
     """Fast recursion from size n down to the cutoff: sizes <= n0 go standard.
 
-    Equal-size subtrees share the same object, so uniform plans stay small
-    in memory even when the tree has millions of leaves.
+    As every plan shares its equal subtrees, a uniform plan holds one node
+    per level and stays small even when the tree has millions of leaves.
     """
     if not is_pow2(n) or not is_pow2(n0):
         raise ValueError("n and n0 must be powers of two")

@@ -403,14 +403,13 @@ def _user_masks(em, scheme):
     """Per quadrant, the bitmask of children whose A operand reads it, whose
     B operand reads it, and whose product the output quadrant sums; built
     once per scheme in a generation."""
-    # keyed by id: a FastScheme hashes all its coefficients on every lookup
-    masks = em.user_masks.get(id(scheme))
+    masks = em.user_masks.get(scheme)
     if masks is None:
         def users(rows):  # one row of 4 coefficients per child
             return tuple(sum(1 << i for i, row in enumerate(rows) if row[q]) for q in range(4))
 
-        masks = em.user_masks[id(scheme)] = (users(scheme.encode_a), users(scheme.encode_b),
-                                             users(tuple(zip(*scheme.decode))))
+        masks = em.user_masks[scheme] = (users(scheme.encode_a), users(scheme.encode_b),
+                                         users(tuple(zip(*scheme.decode))))
     return masks
 
 

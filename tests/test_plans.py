@@ -1,5 +1,6 @@
 import gc
 import importlib
+import pickle
 import sys
 import time
 import weakref
@@ -7,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hybridmm import bounds
 from hybridmm.engine import execute
 from hybridmm.plans import (MAX_PLAN_DEPTH, SCHEMES, STRASSEN, WINOGRAD, FastNode,
                             FastScheme, PlanParseError, StandardLeaf, StandardVariant,
@@ -177,10 +179,73 @@ def test_hash_and_equality_visit_shared_subtrees_once():
     def mixed(last_n0):
         return FastNode(STRASSEN, (uniform_plan(8, 1),) * 6 + (uniform_plan(8, last_n0),))
 
-    assert mixed(2) == mixed(2) and hash(mixed(2)) == hash(mixed(2))
+    # both plans held: equality is identity, so a dropped plan's hash says
+    # nothing about a plan built after it
+    first, second = mixed(2), mixed(2)
+    assert first == second and hash(first) == hash(second)
     assert mixed(2) != mixed(1)
     plan = random_plan(16, 0.7, seed=5)
     assert {plan: 1}[parse_plan(serialize_plan(plan))] == 1
+
+
+def test_equal_subtrees_are_one_object():
+    assert uniform_plan(64, 1) is uniform_plan(64, 1)
+    for seed, scheme in ((1, STRASSEN), (3, WINOGRAD), (4, STRASSEN)):
+        plan = random_plan(32, 0.8, seed=seed, scheme=scheme)
+        assert isinstance(plan, FastNode)
+        assert parse_plan(serialize_plan(plan)) is plan
+        assert pickle.loads(pickle.dumps(plan)) is plan
+    leaves = (StandardLeaf(IT, 1),) * 7
+    twin = FastScheme("strassen", *(tuple(map(tuple, m)) for m in (
+        STRASSEN.encode_a, STRASSEN.encode_b, STRASSEN.decode)))
+    assert twin is not STRASSEN and twin == STRASSEN
+    node = FastNode(twin, leaves)
+    assert node is FastNode(STRASSEN, leaves)
+    # building an equal node again leaves the live node's fields as they were
+    scheme, children = node.scheme, node.children
+    assert FastNode(STRASSEN, tuple(StandardLeaf(IT, 1) for _ in range(7))) is node
+    assert node.scheme is scheme and node.children is children
+    with pytest.raises(AttributeError):
+        node.size = 4
+    renamed = FastScheme("renamed", twin.encode_a, twin.encode_b, twin.decode)
+    assert FastNode(renamed, leaves) is not FastNode(STRASSEN, leaves)
+
+
+def test_random_plan_holds_each_distinct_subtree_once():
+    plan = random_plan(256, 0.7, seed=1)
+    assert len({id(node) for node in all_nodes(plan) if isinstance(node, FastNode)}) == 2286
+    assert plan_stats(plan).fast_nodes == 51923
+
+
+def test_dropped_plan_is_released():
+    live = len(FastNode._nodes)
+    ref = weakref.ref(random_plan(32, 0.8, seed=7))
+    gc.collect()
+    assert ref() is None and len(FastNode._nodes) == live
+
+
+def test_msp_memo_hits_on_equal_subtrees(monkeypatch):
+    # distinct fast subtrees by structure, numbered without using identity
+    def canon(node, table):
+        if isinstance(node, StandardLeaf):
+            return node
+        key = (node.scheme.id, tuple(canon(c, table) for c in node.children))
+        return table.setdefault(key, len(table))
+
+    plan = random_plan(64, 0.7, seed=1)
+    distinct = {}
+    canon(plan, distinct)
+    calls = []
+    classify = bounds._msp_type
+    monkeypatch.setattr(bounds, "_msp_type", lambda *a: calls.append(1) or classify(*a))
+    # at M=1 the MSPs are the size-2 nodes, so the walk reaches the small
+    # subtrees that a random plan repeats (at M=3 it stops above them)
+    report = bounds.sequential_bound(plan, 64, 1, 1)
+    assert (report.nu1, report.nu2) == (1551, 2854)
+    # the walk classifies the root, then the children of each distinct
+    # subtree it descends into, once; a walk whose memo missed on equal
+    # copies classified 5,139 nodes here
+    assert len(calls) <= 1 + 7 * len(distinct) == 1821
 
 
 def test_parse_leaf_format():
