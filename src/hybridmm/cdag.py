@@ -204,20 +204,16 @@ def _build_fast(g: Cdag, node: FastNode, path, a_grid, b_grid):
     # one encoder copy per factor per quadrant position
     xa = [[[None] * h for _ in range(h)] for _ in range(7)]
     xb = [[[None] * h for _ in range(h)] for _ in range(7)]
+    sides = ((scheme.encode_a, a_grid, xa), (scheme.encode_b, b_grid, xb))
     for r in range(h):
         for c in range(h):
             for i in range(7):
-                child_path = path + (i,)
-                va = g.add_vertex(ENCODER_OUT, child_path)
-                for q, (qi, qj) in enumerate(quads):
-                    if scheme.encode_a[i][q]:
-                        g.add_edge(_quad_entry(a_grid, qi, qj, r, c, h), va)
-                xa[i][r][c] = va
-                vb = g.add_vertex(ENCODER_OUT, child_path)
-                for q, (qi, qj) in enumerate(quads):
-                    if scheme.encode_b[i][q]:
-                        g.add_edge(_quad_entry(b_grid, qi, qj, r, c, h), vb)
-                xb[i][r][c] = vb
+                for rows, grid, x in sides:
+                    v = g.add_vertex(ENCODER_OUT, path + (i,))
+                    for q, (qi, qj) in enumerate(quads):
+                        if rows[i][q]:
+                            g.add_edge(_quad_entry(grid, qi, qj, r, c, h), v)
+                    x[i][r][c] = v
     m_out = [_build_node(g, node.children[i], path + (i,), xa[i], xb[i]) for i in range(7)]
     out = [[None] * s for _ in range(s)]
     for r in range(h):
@@ -549,13 +545,9 @@ def verify_dominator_type1(cdag: Cdag, m: int, max_samples: int = 48,
             report.record(f"input subset sizes={sizes}", min_dominator_size(cdag, y, inputs),
                           min(2 * m, max(bound_flat, bound_l2)))
 
-    for d in msps:
-        prods = cdag.elem_products.get(d.path)
-        if prods is None:
-            report.skipped += 1
-            continue
-        ag, bg = cdag.node_inputs[d.path]
-        y_sources = _flatten(ag) + _flatten(bg)
+    # every Type 1 MSP is a standard leaf, whose products _build_leaf records
+    for d, y_sources in zip(msps, y_sets):
+        prods = cdag.elem_products[d.path]
         s = d.n_i
         keys = list(prods)
         samples = [keys]  # all products
@@ -563,9 +555,7 @@ def verify_dominator_type1(cdag: Cdag, m: int, max_samples: int = 48,
         samples.append([keys[0]])
         for _ in range(max_samples // 2):
             samples.append(rng.sample(keys, rng.randint(1, len(keys))))
-        for t_keys in samples:
-            if not t_keys:
-                continue
+        for t_keys in samples:  # every sample is non-empty
             a_touched = {(i, k) for i, k, j in t_keys}
             b_touched = {(k, j) for i, k, j in t_keys}
             dom = min_dominator_size(cdag, [prods[k] for k in t_keys], y_sources)

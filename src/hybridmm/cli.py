@@ -35,13 +35,15 @@ sweep --config FILE [--out FILE]
         B=1
 
     ``plan`` is ``uniform``, ``random`` (uses ``p_fast``, in [0, 1], and
-    the ``seed`` list), or ``file:PATH``; ``commands`` lists ``bounds``
-    and ``simulate`` (the default) or one of them.  Identical configs
-    produce byte-identical CSV.  Exits 1 if any measured I/O falls below
-    its bound, and 2 before any row if ``simulate`` would exceed
-    ``MAX_SIMULATE_MOVES`` on a plan, or, before any plan is built, if an
-    ``n`` or ``n0`` exceeds ``2**MAX_PLAN_DEPTH`` or a random plan's
-    expected node count exceeds ``MAX_SWEEP_PLAN_NODES``.
+    the ``seed`` list), or ``file:PATH``, read once, whose plan's size
+    must be one of the ``n``; ``commands`` lists ``bounds`` and
+    ``simulate`` (the default) or one of them.  Identical configs produce
+    byte-identical CSV.  Exits 1 if any measured I/O falls below its
+    bound.  Exits 2, before ``--out`` is opened, if ``simulate`` would
+    exceed ``MAX_SIMULATE_MOVES`` on a plan or a ``file:`` plan matches no
+    ``n``, and, before any plan is built, if an ``n`` or ``n0`` exceeds
+    ``2**MAX_PLAN_DEPTH`` or a random plan's expected node count exceeds
+    ``MAX_SWEEP_PLAN_NODES``; a refused sweep writes no file.
 
 Exit codes: 0 success, 1 verification/bound failure, 2 usage errors.
 """
@@ -68,8 +70,6 @@ from .schedules import gen_hybrid_schedule
 
 
 def _fmt_num(x) -> str:
-    if x is None:
-        return ""
     if isinstance(x, Fraction):
         return str(int(x)) if x.denominator == 1 else repr(float(x))
     if isinstance(x, float):
@@ -332,6 +332,8 @@ def parse_sweep_config(text: str) -> dict:
             if not 0 <= cfg[key] <= 1:
                 raise ConfigError(f"line {lineno}: p_fast must lie in [0, 1], got {value!r}")
         elif key == "plan":
+            if value not in ("uniform", "random") and not value.startswith("file:"):
+                raise ConfigError(f"line {lineno}: unknown plan source {value!r}")
             cfg[key] = value
         elif key == "scheme":
             if value not in SCHEMES:
@@ -380,36 +382,36 @@ SWEEP_COLUMNS = ["plan", "n", "n0", "seed", "p_fast", "M", "B", "nu1", "nu2",
                  "uniform_bound", "io_total", "ratio"]
 
 
-def _sweep_plans(cfg):
+def _sweep_plans(cfg) -> list:
+    """(row fields, plan) per plan of the sweep, in row order.  Raises
+    ConfigError if a ``file:`` plan's size is in no ``n``, and ValueError if
+    ``simulate`` would exceed ``MAX_SIMULATE_MOVES`` on a plan."""
     scheme = SCHEMES[cfg.get("scheme", "strassen")]
     source = cfg["plan"]
-    for n in cfg["n"]:
-        if source == "uniform":
-            for n0 in cfg["n0"]:
-                if n0 > n:
-                    continue
-                yield {"plan": "uniform", "n": n, "n0": n0, "seed": "", "p_fast": ""}, \
-                    uniform_plan(n, n0, scheme)
-        elif source == "random":
-            for seed in cfg["seed"]:
-                yield {"plan": "random", "n": n, "n0": "", "seed": seed,
-                       "p_fast": cfg["p_fast"]}, \
-                    random_plan(n, cfg["p_fast"], seed, scheme)
-        elif source.startswith("file:"):
-            plan = _load_plan(source[5:])
-            if plan.size != n:
-                continue
-            yield {"plan": source, "n": n, "n0": "", "seed": "", "p_fast": ""}, plan
-        else:
-            raise ConfigError(f"unknown plan source {source!r}")
-
-
-def run_sweep(cfg, out_fh) -> bool:
-    """Write CSV rows; returns False iff some measured I/O beat its bound."""
-    plans = list(_sweep_plans(cfg))
+    if source == "uniform":
+        plans = [({"plan": "uniform", "n": n, "n0": n0, "seed": "", "p_fast": ""},
+                  uniform_plan(n, n0, scheme))
+                 for n in cfg["n"] for n0 in cfg["n0"] if n0 <= n]
+    elif source == "random":
+        plans = [({"plan": "random", "n": n, "n0": "", "seed": seed, "p_fast": cfg["p_fast"]},
+                  random_plan(n, cfg["p_fast"], seed, scheme))
+                 for n in cfg["n"] for seed in cfg["seed"]]
+    else:
+        plan = _load_plan(source[5:])
+        if plan.size not in cfg["n"]:
+            raise ConfigError(f"{source} holds a size-{plan.size} plan, "
+                              f"which is in no n={cfg['n']}")
+        plans = [({"plan": source, "n": n, "n0": "", "seed": "", "p_fast": ""}, plan)
+                 for n in cfg["n"] if n == plan.size]
     if "simulate" in cfg["commands"]:
         for _, plan in plans:
             _check_simulate_size(plan)
+    return plans
+
+
+def run_sweep(cfg, plans, out_fh) -> bool:
+    """Write the CSV rows of ``plans`` (from ``_sweep_plans``); returns
+    False iff some measured I/O beat its bound."""
     ok = True
     out_fh.write(",".join(SWEEP_COLUMNS) + "\n")
     for meta, plan in plans:
@@ -447,14 +449,13 @@ def cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = parse_sweep_config(fh.read())
+        plans = _sweep_plans(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            ok = run_sweep(cfg, fh)
-    else:
-        ok = run_sweep(cfg, sys.stdout)
+    # a refused sweep writes no file: --out is opened once every plan passed
+    with (open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)) as fh:
+        ok = run_sweep(cfg, plans, fh)
     if not ok:
         print("sweep: measured I/O below bound (artifact bug)", file=sys.stderr)
         return 1

@@ -147,13 +147,9 @@ def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int):
                          _combine(scheme.encode_b[i], bq, modulus), modulus, trace, limit)
                     for i, c in enumerate(node.children)]
 
-    s = node.size
-    h = s // 2
-    out = np.empty(a.shape[:-2] + (s, s), dtype=np.int64)
-    slices = ((slice(None, h), slice(None, h)), (slice(None, h), slice(h, None)),
-              (slice(h, None), slice(None, h)), (slice(h, None), slice(h, None)))
-    for q in range(4):
-        _combine(scheme.decode[q], products, modulus, out[(..., *slices[q])])
+    out = np.empty(a.shape[:-2] + (node.size, node.size), dtype=np.int64)
+    for row, quad in zip(scheme.decode, _quads(out)):
+        _combine(row, products, modulus, quad)
     return out
 
 

@@ -88,9 +88,6 @@ class Schedule:
     layout: MemoryLayout
     label: str = ""
 
-    def __len__(self):
-        return len(self.moves)
-
 
 @dataclass(frozen=True)
 class IoStats:

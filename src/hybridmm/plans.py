@@ -43,15 +43,16 @@ class StandardVariant(Enum):
 
 def check_coefficients(encode_a, encode_b, decode):
     """Raise ValueError unless ``encode_a`` and ``encode_b`` are 7 rows of 4
-    coefficients and ``decode`` is 4 rows of 7, all in {-1, 0, 1}."""
+    coefficients and ``decode`` is 4 rows of 7, all ints in {-1, 0, 1}
+    (``True`` and ``1.0`` are not)."""
     for name, rows, height, width in (("encode_a", encode_a, 7, 4),
                                       ("encode_b", encode_b, 7, 4),
                                       ("decode", decode, 4, 7)):
         if (not isinstance(rows, (list, tuple)) or len(rows) != height
                 or any(not isinstance(r, (list, tuple)) or len(r) != width for r in rows)):
             raise ValueError(f"{name} must be {height} rows of {width} coefficients")
-        if any(c not in (-1, 0, 1) for r in rows for c in r):
-            raise ValueError(f"{name} coefficients must be in {{-1, 0, 1}}")
+        if any(type(c) is not int or c not in (-1, 0, 1) for r in rows for c in r):
+            raise ValueError(f"{name} coefficients must be integers in {{-1, 0, 1}}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,6 @@ def uniform_plan(n: int, n0: int, scheme: FastScheme = STRASSEN,
     while size < n:
         size *= 2
         node = FastNode(scheme, (node,) * 7)
-    if n <= n0:
-        return StandardLeaf(variant, n)
     return node
 
 

@@ -84,15 +84,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.n, self.modulus, self.data.tobytes()))
 
-    def __add__(self, other):
-        return mat_add(self, other)
-
-    def __sub__(self, other):
-        return mat_sub(self, other)
-
-    def __matmul__(self, other):
-        return mat_mul_naive(self, other)
-
     def __repr__(self):
         return f"Matrix(n={self.n}, data={self.data.tolist()})"
 

@@ -104,7 +104,7 @@ class _Budget(Exception):
 
 
 class _Emitter:
-    __slots__ = ("moves", "M", "B", "resident", "temp_ptr", "order_memo", "user_masks")
+    __slots__ = ("moves", "M", "B", "resident", "temp_ptr", "order_memo")
 
     def __init__(self, cfg: MachineConfig, temp_base: int):
         self.moves = []
@@ -113,7 +113,6 @@ class _Emitter:
         self.resident = set()
         self.temp_ptr = temp_base
         self.order_memo = {}
-        self.user_masks = {}
 
     def attempt(self, fn, *args) -> bool:
         """Run ``fn(*args)``.  If it would exceed the budget, undo its moves,
@@ -399,18 +398,14 @@ _NATURAL_ORDERS = (tuple(range(7)), tuple(reversed(range(7))))
 _INCACHE_ORDERS = {"strassen": ((6, 4, 3, 1, 5, 0, 2),) + _NATURAL_ORDERS}
 _ALL_CHILDREN = (1 << 7) - 1
 
-def _user_masks(em, scheme):
+@lru_cache(maxsize=None)
+def _user_masks(scheme: FastScheme):
     """Per quadrant, the bitmask of children whose A operand reads it, whose
-    B operand reads it, and whose product the output quadrant sums; built
-    once per scheme in a generation."""
-    masks = em.user_masks.get(scheme)
-    if masks is None:
-        def users(rows):  # one row of 4 coefficients per child
-            return tuple(sum(1 << i for i, row in enumerate(rows) if row[q]) for q in range(4))
+    B operand reads it, and whose product the output quadrant sums; cached."""
+    def users(rows):  # one row of 4 coefficients per child
+        return tuple(sum(1 << i for i, row in enumerate(rows) if row[q]) for q in range(4))
 
-        masks = em.user_masks[scheme] = (users(scheme.encode_a), users(scheme.encode_b),
-                                         users(tuple(zip(*scheme.decode))))
-    return masks
+    return (users(scheme.encode_a), users(scheme.encode_b), users(tuple(zip(*scheme.decode))))
 
 
 def _incache_child(em, ctx, done, idx, write_out):
@@ -504,7 +499,7 @@ def _incache_node(em, node, a, b, out, write_out, own_a, own_b):
     memo = em.order_memo.get(key)
     if memo == "infeasible":
         raise _Budget()
-    a_users, b_users, dec_users = _user_masks(em, node.scheme)
+    a_users, b_users, dec_users = _user_masks(node.scheme)
     ctx = (node,
            ((node.scheme.encode_a, a_users, a.quadrants(), own_a),
             (node.scheme.encode_b, b_users, b.quadrants(), own_b)),

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from hybridmm import cli
+from hybridmm.cdag import build_cdag
 from hybridmm.cli import ConfigError, main, parse_sweep_config
 from hybridmm.pebble import MachineConfig, simulate
-from hybridmm.plans import MAX_PLAN_DEPTH, WINOGRAD, random_plan, serialize_plan, uniform_plan
+from hybridmm.plans import (MAX_PLAN_DEPTH, STRASSEN, WINOGRAD, random_plan, serialize_plan,
+                            uniform_plan)
 from hybridmm.schedules import gen_hybrid_schedule
 
 
@@ -98,6 +100,53 @@ def test_verify_broken_scheme_fails(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def _strassen_file(tmp_path, coeff=lambda c: c, **changes):
+    scheme = {k: [[coeff(c) for c in row] for row in getattr(STRASSEN, k)]
+              for k in ("encode_a", "encode_b", "decode")}
+    scheme.update(changes)
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(scheme))
+    return str(path)
+
+
+def test_verify_wrong_scheme_fails_correctness(tmp_path, capsys):
+    # C11 = M1 + M4 - M5 - M7: well-formed, encoders unchanged, product wrong
+    decode = [list(row) for row in STRASSEN.decode]
+    decode[0][6] = -1
+    rc = main(["verify", "--scheme-file", _strassen_file(tmp_path, decode=decode),
+               "--max-vertices", "0"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    for side in ("A", "B"):
+        assert f"encoder custom.Enc_{side}: PASS (127 subset checks)" in out
+    assert "scheme custom 2x2 correctness: FAIL" in out
+    assert "verify: FAIL" in out
+
+
+@pytest.mark.parametrize("coeff", [lambda c: c == 1 if c >= 0 else c, float],
+                         ids=["bool", "float"])
+def test_verify_scheme_file_wants_integers(tmp_path, capsys, coeff):
+    # JSON true/false and 1.0 compare equal to 1 and 0, but are not coefficients
+    args = ["verify", "--max-vertices", "0", "--scheme-file"]
+    assert main(args + [_strassen_file(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(args + [_strassen_file(tmp_path, coeff)]) == 2
+    captured = capsys.readouterr()
+    assert "coefficients must be integers" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_max_vertices_skips_each_plan(capsys):
+    assert main(["verify", "--max-vertices", "10"]) == 0
+    out = capsys.readouterr().out
+    for name, plan in (("fast(2)", uniform_plan(2, 1)), ("fast(4)", uniform_plan(4, 1)),
+                       ("hybrid(4,2)", uniform_plan(4, 2)), ("standard(4)", uniform_plan(4, 4))):
+        size = build_cdag(plan).num_vertices
+        assert size > 10
+        assert f"dominator {name}: SKIPPED ({size} vertices)" in out
+    assert " M=" not in out
 
 
 @pytest.mark.parametrize("change", [
@@ -242,6 +291,9 @@ def test_sweep_config_errors():
         parse_sweep_config("n=7\n")
     assert "power" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
+        parse_sweep_config("n=8\nplan=wibble\n")
+    assert "line 2: unknown plan source 'wibble'" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
         parse_sweep_config("wibble\n")
     assert "line 1" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
@@ -259,6 +311,39 @@ def test_sweep_config_errors():
         with pytest.raises(ConfigError) as exc:
             parse_sweep_config(text)
         assert f"2**{MAX_PLAN_DEPTH}" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("plan=wibble\n", "config error: line 1: unknown plan source"),
+    ("plan=uniform\nn=8,256\nn0=1\nM=3\n", "error: the schedule of a size-256 plan"),
+    ("plan=file:{plan}\nn=8,32\n", "config error: file:"),
+], ids=["unknown-source", "runaway-plan", "file-size-in-no-n"])
+def test_refused_sweep_writes_no_file(tmp_path, monkeypatch, capsys, plan_file, text, message):
+    monkeypatch.setattr(cli, "gen_hybrid_schedule", _no_generation)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text.format(plan=plan_file))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_file_plan_matches_uniform_rows(tmp_path, monkeypatch, plan_file):
+    loads = []
+    load_plan = cli._load_plan
+    monkeypatch.setattr(cli, "_load_plan", lambda path: loads.append(path) or load_plan(path))
+    rows = {}
+    for source, extra in ((f"file:{plan_file}", "n=8,16,32\n"), ("uniform", "n=16\nn0=8\n")):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"plan={source}\n{extra}M=12,48\nB=1,4\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        rows[source] = [{k: v for k, v in zip(header.split(","), ln.split(","))
+                         if k not in ("plan", "n0", "uniform_bound")} for ln in lines]
+    assert loads == [plan_file]  # once, not once per n
+    file_rows, uniform_rows = rows.values()
+    assert len(file_rows) == 4 and file_rows == uniform_rows
 
 
 def test_sweep_size_cap(tmp_path, capsys, monkeypatch):
