@@ -236,9 +236,10 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# Generating, simulating and checking a schedule costs about 111 bytes a
-# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 509 MB peak
-# RSS), so this many moves peak near 3.4 GB, half of a 7 GB machine.
+# Generating, simulating and checking a schedule costs about 102 bytes a
+# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 470 MB peak
+# RSS, replay templates included), so this many moves peak near 3.1 GB,
+# under half of a 7 GB machine.
 MAX_SIMULATE_MOVES = 30_000_000
 
 

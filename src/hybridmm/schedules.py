@@ -58,6 +58,19 @@ for in-cache and fused children.  The in-cache decode adds each child's
 product into the output quadrants term by term as the child finishes.
 ``_incache_leaf`` runs the standard triple loop over resident operands, for
 in-cache leaves and for the blocked generator when the whole problem fits.
+
+A uniform plan applies one sub-structure at every node of a level, so most
+streamed sub-problems are translated copies of one another.  ``_gen_node``
+therefore generates each distinct sub-problem once per generation and
+replays it after that.  The memo key is the node's identity and the strides
+of its a, b and c views.  A replay appends the recorded moves again, each
+address moved by the offset of its segment: the a, b and c views' spans
+and the temporaries the sub-problem allocated, four disjoint ranges.  Two
+facts make a replay exact, and ``_gen_node`` asserts both: the cache is
+empty at every entry and exit, and no ``attempt`` is open, so a replay
+needs no budget check and is never rolled back.  A template is the
+range of the schedule's own list that the first copy emitted, so it costs
+no memory beyond the distinct addresses that the range touches.
 """
 
 from __future__ import annotations
@@ -104,7 +117,8 @@ class _Budget(Exception):
 
 
 class _Emitter:
-    __slots__ = ("moves", "M", "B", "resident", "temp_ptr", "order_memo")
+    __slots__ = ("moves", "M", "B", "resident", "temp_ptr", "order_memo", "templates",
+                 "attempts")
 
     def __init__(self, cfg: MachineConfig, temp_base: int):
         self.moves = []
@@ -113,11 +127,14 @@ class _Emitter:
         self.resident = set()
         self.temp_ptr = temp_base
         self.order_memo = {}
+        self.templates = {}
+        self.attempts = 0  # how many ``attempt`` calls are open
 
     def attempt(self, fn, *args) -> bool:
         """Run ``fn(*args)``.  If it would exceed the budget, undo its moves,
         temporary allocations and residency, and return False."""
         n_moves, temp_ptr, resident = len(self.moves), self.temp_ptr, set(self.resident)
+        self.attempts += 1
         try:
             fn(*args)
         except _Budget:
@@ -125,6 +142,8 @@ class _Emitter:
             self.temp_ptr = temp_ptr
             self.resident = resident
             return False
+        finally:
+            self.attempts -= 1
         return True
 
     def alloc(self, words: int) -> int:
@@ -690,11 +709,75 @@ def _read_incache(em, node, av, bv, cv):
     _incache_node(em, node, av, bv, cv, write_out=True, own_a=True, own_b=True)
 
 
+class _Template:
+    """The moves of one ``_gen_node`` call, ``moves[start:end]``, kept where
+    they are in the schedule, and the four address segments they touch: the
+    a, b and c views' spans and the temporaries the call allocated.  The
+    segments are disjoint, since every view is an input, the output or a
+    temporary allocated before the call."""
+
+    __slots__ = ("start", "end", "segments", "addrs")
+
+    def __init__(self, start, end, views, temp_lo, temp_hi):
+        self.start, self.end = start, end
+        self.segments = tuple((v.base, v.base + (v.rows - 1) * v.stride + v.cols)
+                              for v in views) + ((temp_lo, temp_hi),)
+        self.addrs = None  # per segment, the addresses the moves touch; set at the first replay
+
+    def _segment_addrs(self, moves):
+        ordered = sorted(self.segments)
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
+        seen = set()
+        for mv in moves[self.start:self.end]:
+            seen.add(mv[1])
+            if mv[0] == MV_C:
+                seen.add(mv[3])
+                seen.add(mv[4])
+        seen.discard(-1)
+        addrs = tuple([] for _ in self.segments)
+        for x in seen:
+            for k, (lo, hi) in enumerate(self.segments):
+                if lo <= x < hi:
+                    addrs[k].append(x)
+                    break
+            else:
+                raise AssertionError(f"address {x} lies in no segment")
+        return addrs
+
+    def replay(self, em, views):
+        """Append the moves again for ``views`` and the next temporaries,
+        each address moved by the offset of its segment."""
+        moves = em.moves
+        if self.addrs is None:
+            self.addrs = self._segment_addrs(moves)
+        bases = [v.base for v in views] + [em.temp_ptr]
+        to = {-1: -1}  # a compute's absent second operand
+        for base, (lo, _), xs in zip(bases, self.segments, self.addrs):
+            to.update({x: x + base - lo for x in xs})
+        moves.extend([(MV_C, to[mv[1]], mv[2], to[mv[3]], to[mv[4]]) if mv[0] == MV_C else
+                      (MV_E, to[mv[1]]) if mv[0] == MV_E else
+                      (mv[0], to[mv[1]], mv[2])
+                      for mv in moves[self.start:self.end]])
+        temp_lo, temp_hi = self.segments[3]
+        em.temp_ptr += temp_hi - temp_lo
+
+
 def _gen_node(em, node, av, bv, cv):
+    # the cache is empty and no attempt is open at every entry, so the
+    # moves depend only on the node, the views' strides and the addresses
+    assert not em.resident and not em.attempts
+    key = (id(node), av.stride, bv.stride, cv.stride)
+    template = em.templates.get(key)
+    if template is not None:
+        template.replay(em, (av, bv, cv))
+        return
+    start, temp_lo = len(em.moves), em.temp_ptr
     if isinstance(node, StandardLeaf):
         _blocked(em, av, bv, cv)
     elif not em.attempt(_read_incache, em, node, av, bv, cv):
         _stream_fast(em, node, av, bv, cv)
+    assert not em.resident
+    em.templates[key] = _Template(start, len(em.moves), (av, bv, cv), temp_lo, em.temp_ptr)
 
 
 def _generate(plan: RecursionPlan, cfg: MachineConfig, kind: str) -> Schedule:

@@ -108,6 +108,23 @@ def test_write_requires_cached_value():
     assert exc.value.kind == "ILLEGAL_OPERAND"
 
 
+@pytest.mark.parametrize("moves,m,b,kind,step,msg", [
+    ([(MV_R, 1, 1), (MV_C, 8, OP_MUL, 0, 1)], 8, 1,
+     "ILLEGAL_OPERAND", 1, "operand 0 not in cache"),
+    ([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 8, OP_MUL, 0, 4), (MV_C, 9, OP_MUL, 0, 4)], 3, 1,
+     "CACHE_OVERFLOW", 3, "occupancy 4 exceeds M=3"),
+    ([(MV_R, 0, 2), (MV_R, 2, 1), (MV_W, 0, 3)], 8, 2,
+     "BAD_BLOCK", 2, "write of 3 words with B=2"),
+    ([(MV_R, 0, 1), (MV_E, 0), (MV_E, 0)], 8, 1,
+     "ILLEGAL_OPERAND", 2, "evict of 0 not in cache"),
+], ids=["compute-first-operand", "compute-overflow", "write-block", "evict-uncached"])
+def test_simulate_error_sites(moves, m, b, kind, step, msg):
+    with pytest.raises(ScheduleError) as exc:
+        simulate(Schedule(moves, MemoryLayout(2)), MachineConfig(m, b))
+    assert (exc.value.kind, exc.value.step) == (kind, step)
+    assert msg in str(exc.value)
+
+
 def test_parsimonious_generated_schedule():
     cfg = MachineConfig(12, 1)
     sched = gen_standard_blocked_schedule(4, cfg)

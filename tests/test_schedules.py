@@ -286,6 +286,21 @@ _PINNED_DUMPS = [
     ("random", WINOGRAD, 16, 1, 44, 1,
      "81460568b0393a2295cea98fbb7f4afcae6a19250b771df2b6e3987d517d1431",
      "6d28014900ad4145643c7cc25d870c62b057e82ab3f9f22b929ffe38ace01d56"),
+    # the benchmark's schedule points, most of whose moves are replayed
+    # subtrees (Strassen n=16, n0=1, M=3, B=4 is the first case above)
+    ("hybrid", STRASSEN, 32, 4, 3, 1,
+     "010d2b49034392fb84ef3ec0f1f6648418fe2b43e6fde225416b828e480a52f4",
+     "010d2b49034392fb84ef3ec0f1f6648418fe2b43e6fde225416b828e480a52f4"),
+    ("hybrid", STRASSEN, 32, 4, 48, 1,
+     "bb5c596acaaaeebf0d39fb069f7e2ac30683a0babe8b6a4a75d3475b3f3f467c",
+     "bb5c596acaaaeebf0d39fb069f7e2ac30683a0babe8b6a4a75d3475b3f3f467c"),
+    ("hybrid", WINOGRAD, 32, 2, 48, 1,
+     "0177f8091bd0b0d6c9d6683515916f4062fd57cee1c3b0481ac15556f52e1403",
+     "0177f8091bd0b0d6c9d6683515916f4062fd57cee1c3b0481ac15556f52e1403"),
+    # replayed subtrees with strided views and runs that are not multiples of B
+    ("random", WINOGRAD, 32, 1, 20, 3,
+     "1a17708379eb8829ec969a775aecfccf8c235e31f5ce0d08e6937e42f20ce571",
+     "1a17708379eb8829ec969a775aecfccf8c235e31f5ce0d08e6937e42f20ce571"),
 ]
 
 
@@ -299,6 +314,46 @@ def test_generated_moves_pinned(gen, scheme, n, n0, m, b, key, digest):
     else:
         sched = gen_standard_blocked_schedule(n, cfg)
     assert hashlib.sha256(dump_schedule(sched).encode()).hexdigest() == digest
+
+
+class _NoTemplates(dict):
+    """A template table that keeps nothing, so every subtree is generated."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("plan,m,b", [
+    (random_plan(32, 0.7, seed=1, scheme=WINOGRAD), 20, 3),
+    (uniform_plan(16, 2, STRASSEN), 3, 4),
+    (uniform_plan(16, 4, STRASSEN), 48, 1),
+    (uniform_plan(16, 2, WINOGRAD), 20, 3),
+], ids=["random-winograd-n32-M20-B3", "strassen-n16-n0_2-M3-B4", "strassen-n16-n0_4-M48-B1",
+        "winograd-n16-n0_2-M20-B3"])
+def test_replayed_subtrees_match_fresh_generation(monkeypatch, plan, m, b):
+    # every replayed subtree's moves equal what a fresh emitter, which keeps
+    # no template, generates for the same node, views and temporaries
+    hits = []
+    real_gen_node = schedules._gen_node
+
+    def gen_node(em, node, av, bv, cv):
+        n_templates, start, temp_ptr = len(em.templates), len(em.moves), em.temp_ptr
+        real_gen_node(em, node, av, bv, cv)
+        if len(em.templates) == n_templates:  # a generated subtree records one
+            hits.append((node, (av, bv, cv), temp_ptr, start, len(em.moves), em.temp_ptr))
+
+    monkeypatch.setattr(schedules, "_gen_node", gen_node)
+    cfg = MachineConfig(m, b)
+    moves = gen_hybrid_schedule(plan, cfg).moves
+    monkeypatch.undo()
+    assert hits
+    assert any(v.stride != v.cols for _, views, *_ in hits for v in views)
+    for node, views, temp_ptr, start, end, temp_end in hits:
+        fresh = schedules._Emitter(cfg, temp_ptr)
+        fresh.templates = _NoTemplates()
+        schedules._gen_node(fresh, node, *views)
+        assert fresh.moves == moves[start:end]
+        assert fresh.temp_ptr == temp_end
 
 
 def test_incache_search_steps_bounded(monkeypatch):
