@@ -27,6 +27,13 @@ non-output value must feed a compute before it leaves memory entirely
 current copy in slow memory, which is how spilled temporaries stay
 parsimonious).  A read value written back unused is reported once, at the
 write-back.
+
+``check_parsimonious`` keeps each value as one record of three flags,
+``[computed, consumed, used since its last read]``, shared by its cache
+slot and its slow word.  A read clears the third flag; a compute sets both
+use flags on its operands and creates ``[True, False, True]``; a write-back
+of a read value sets the third flag once it has reported it.  A value that
+leaves the cache with the third flag clear was read in vain.
 """
 
 from __future__ import annotations
@@ -115,49 +122,73 @@ def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
     """Validate the schedule under cfg and return its I/O statistics.
 
     Only the 2n^2 input words of the schedule's layout start out defined
-    in slow memory.
+    in slow memory.  A compute must name as many operands as its opcode
+    takes: ``mul``/``add``/``sub`` two, ``cpy``/``neg`` one (``y`` is -1).
+    Within a move the checks run in a fixed order, so the first fault found
+    is the one raised: a block size, then each word of a read, then the
+    occupancy; for a compute, ``x``, then ``y``, then the occupancy.
     """
     slow = set(schedule.layout.input_range())
     cache = set()
+    cache_add, cache_discard = cache.add, cache.discard
     m_cap = cfg.M
     b_cap = cfg.B
     reads = writes = computes = 0
-    peak = 0
+    # ``used`` counts the cached words; ``peak`` never exceeds M, so only a
+    # new peak can overflow the cache
+    used = peak = 0
 
     for step, mv in enumerate(schedule.moves):
         tag = mv[0]
         if tag == MV_C:
-            out = mv[1]
-            x = mv[3]
+            _, out, op, x, y = mv
             if x not in cache:
                 raise ScheduleError("ILLEGAL_OPERAND", step, f"operand {x} not in cache")
-            y = mv[4]
-            if y >= 0 and y not in cache:
-                raise ScheduleError("ILLEGAL_OPERAND", step, f"operand {y} not in cache")
+            if y >= 0:
+                if op > OP_SUB or y not in cache:
+                    raise ScheduleError("ILLEGAL_OPERAND", step, _operand_fault(op, y))
+            elif y != -1 or op <= OP_SUB:
+                raise ScheduleError("ILLEGAL_OPERAND", step, _operand_fault(op, y))
             computes += 1
             if out not in cache:
-                cache.add(out)
-                if len(cache) > m_cap:
-                    raise ScheduleError("CACHE_OVERFLOW", step,
-                                        f"occupancy {len(cache)} exceeds M={m_cap}")
-                if len(cache) > peak:
-                    peak = len(cache)
+                cache_add(out)
+                used += 1
+                if used > peak:
+                    if used > m_cap:
+                        raise ScheduleError("CACHE_OVERFLOW", step,
+                                            f"occupancy {used} exceeds M={m_cap}")
+                    peak = used
+        elif tag == MV_E:
+            addr = mv[1]
+            if addr not in cache:
+                raise ScheduleError("ILLEGAL_OPERAND", step, f"evict of {addr} not in cache")
+            cache_discard(addr)
+            used -= 1
         elif tag == MV_R:
-            addr, k = mv[1], mv[2]
-            if not 1 <= k <= b_cap:
-                raise ScheduleError("BAD_BLOCK", step, f"read of {k} words with B={b_cap}")
-            for a in range(addr, addr + k):
-                if a not in slow:
-                    raise ScheduleError("UNDEFINED_READ", step, f"address {a} undefined in slow memory")
-                cache.add(a)
+            _, addr, k = mv
+            if k == 1:
+                if addr not in slow:
+                    raise ScheduleError("UNDEFINED_READ", step, f"address {addr} undefined in slow memory")
+                if addr not in cache:
+                    cache_add(addr)
+                    used += 1
+            else:
+                if not 1 <= k <= b_cap:
+                    raise ScheduleError("BAD_BLOCK", step, f"read of {k} words with B={b_cap}")
+                for a in range(addr, addr + k):
+                    if a not in slow:
+                        raise ScheduleError("UNDEFINED_READ", step, f"address {a} undefined in slow memory")
+                    if a not in cache:
+                        cache_add(a)
+                        used += 1
             reads += 1
-            if len(cache) > m_cap:
-                raise ScheduleError("CACHE_OVERFLOW", step,
-                                    f"occupancy {len(cache)} exceeds M={m_cap}")
-            if len(cache) > peak:
-                peak = len(cache)
-        elif tag == MV_W:
-            addr, k = mv[1], mv[2]
+            if used > peak:
+                if used > m_cap:
+                    raise ScheduleError("CACHE_OVERFLOW", step,
+                                        f"occupancy {used} exceeds M={m_cap}")
+                peak = used
+        else:  # MV_W
+            _, addr, k = mv
             if not 1 <= k <= b_cap:
                 raise ScheduleError("BAD_BLOCK", step, f"write of {k} words with B={b_cap}")
             for a in range(addr, addr + k):
@@ -165,13 +196,16 @@ def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
                     raise ScheduleError("ILLEGAL_OPERAND", step, f"write of {a} not in cache")
                 slow.add(a)
             writes += 1
-        else:  # MV_E
-            addr = mv[1]
-            if addr not in cache:
-                raise ScheduleError("ILLEGAL_OPERAND", step, f"evict of {addr} not in cache")
-            cache.discard(addr)
 
     return IoStats(reads, writes, peak, computes)
+
+
+def _operand_fault(op, y):
+    """Why a compute's second operand ``y`` is illegal for opcode ``op``."""
+    name = _OP_NAMES.get(op, f"opcode {op}")
+    if op > OP_SUB:
+        return f"{name} takes one operand, got second operand {y}"
+    return f"operand {y} not in cache" if y >= 0 else f"{name} needs a second operand"
 
 
 @dataclass
@@ -189,71 +223,89 @@ class ParsimonyReport:
 def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
     """Check the two parsimony rules; returns the violating steps.
 
-    Assumes the schedule is legal (run ``simulate`` first).  Values written
-    to slow memory stay available there, so spilling a temporary and
-    reloading it later is parsimonious as long as the reloaded copy is used.
+    Values written to slow memory stay available there, so spilling a
+    temporary and reloading it later is parsimonious as long as the
+    reloaded copy is used.  Run ``simulate`` first to know the schedule is
+    legal: an illegal move is not reported here but read as far as it goes.
+    A word not in cache is skipped by ``W`` and ``E``, an operand not in
+    cache is ignored, and a read of an undefined word brings in a value
+    that nothing computed.
     """
-    out_lo = schedule.layout.c_base
-    out_hi = out_lo + schedule.layout.n ** 2
+    layout = schedule.layout
+    out_lo = layout.c_base
+    out_hi = out_lo + layout.n ** 2
     violations = []
+    report = violations.append
 
-    # A value is [computed, consumed]; by the one-home rule (module
-    # docstring) it is in slow memory exactly when ``slow[addr] is value``.
-    slow = {a: [False, False] for a in schedule.layout.input_range()}
+    # A value is [computed, consumed, used since its last read] (module
+    # docstring); by the one-home rule it is in slow memory exactly when
+    # ``slow[addr] is value``.
+    slow = {a: [False, False, True] for a in layout.input_range()}
+    slow_get = slow.get
     cache = {}  # addr -> value
-    unused_reads = set()  # cached addresses read in and not used since
+    cache_get = cache.get
+    cache_pop = cache.pop
 
     def drop(addr, val, step):
-        if addr in unused_reads:
-            unused_reads.remove(addr)
-            violations.append((step, f"value read into cache at {addr} evicted/overwritten unused"))
-        elif val[0] and not val[1] and slow.get(addr) is not val and not out_lo <= addr < out_hi:
-            violations.append((step, f"computed value at {addr} left memory without being used"))
+        # the compute and evict paths below inline this test
+        if not val[2]:
+            report((step, f"value read into cache at {addr} evicted/overwritten unused"))
+        elif val[0] and not val[1] and slow_get(addr) is not val and not out_lo <= addr < out_hi:
+            report((step, f"computed value at {addr} left memory without being used"))
 
     for step, mv in enumerate(schedule.moves):
         tag = mv[0]
         if tag == MV_C:
-            out, x, y = mv[1], mv[3], mv[4]
-            for a in (x, y) if y >= 0 else (x,):
-                val = cache.get(a)
+            _, out, _, x, y = mv
+            val = cache_get(x)
+            if val is not None:
+                val[1] = val[2] = True
+            if y >= 0:
+                val = cache_get(y)
                 if val is not None:
-                    val[1] = True
-                    unused_reads.discard(a)
-            old = cache.get(out)
+                    val[1] = val[2] = True
+            old = cache_get(out)
             if old is not None:
-                drop(out, old, step)
-            cache[out] = [True, False]
+                if not old[2]:
+                    report((step, f"value read into cache at {out} evicted/overwritten unused"))
+                elif old[0] and not old[1] and slow_get(out) is not old and not out_lo <= out < out_hi:
+                    report((step, f"computed value at {out} left memory without being used"))
+            cache[out] = [True, False, True]
+        elif tag == MV_E:
+            addr = mv[1]
+            val = cache_pop(addr, None)
+            if val is not None:
+                if not val[2]:
+                    report((step, f"value read into cache at {addr} evicted/overwritten unused"))
+                elif val[0] and not val[1] and slow_get(addr) is not val and not out_lo <= addr < out_hi:
+                    report((step, f"computed value at {addr} left memory without being used"))
         elif tag == MV_R:
-            addr, k = mv[1], mv[2]
-            for a in range(addr, addr + k):
-                old = cache.get(a)
-                if old is not None:
+            _, addr, k = mv
+            for a in (addr,) if k == 1 else range(addr, addr + k):
+                old = cache_get(a)
+                if old is not None:  # no generated schedule re-reads a cached word
                     drop(a, old, step)
-                val = slow.get(a)
+                val = slow_get(a)
                 if val is None:
-                    val = slow[a] = [False, False]
+                    val = slow[a] = [False, False, False]
+                else:
+                    val[2] = False
                 cache[a] = val
-                unused_reads.add(a)
-        elif tag == MV_W:
-            addr, k = mv[1], mv[2]
+        else:  # MV_W
+            _, addr, k = mv
             for a in range(addr, addr + k):
-                val = cache.get(a)
+                val = cache_get(a)
                 if val is None:
                     continue
-                if a in unused_reads:
+                if not val[2]:
                     # reported once: its later eviction is not reported again
-                    unused_reads.remove(a)
-                    violations.append((step, f"read value at {a} written back without being used"))
-                old = slow.get(a)
+                    val[2] = True
+                    report((step, f"read value at {a} written back without being used"))
+                old = slow_get(a)
                 if (old is not None and old is not val and old[0] and not old[1]
                         and not out_lo <= a < out_hi):
-                    violations.append((step, f"computed value at {a} overwritten in slow memory unused"))
+                    report((step, f"computed value at {a} overwritten in slow memory unused"))
                 slow[a] = val
-        else:  # MV_E
-            addr = mv[1]
-            val = cache.pop(addr, None)
-            if val is not None:
-                drop(addr, val, step)
 
     # values abandoned in cache when the schedule ends are discarded values
     end = len(schedule.moves)
@@ -332,6 +384,9 @@ def dump_schedule(schedule: Schedule) -> str:
 
 
 def parse_schedule(text: str, layout: MemoryLayout) -> Schedule:
+    """Read ``dump_schedule``'s text form; a line that is not a move, or a
+    compute with the wrong number of operands for its opcode, raises
+    ``ValueError``."""
     moves = []
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
@@ -344,8 +399,12 @@ def parse_schedule(text: str, layout: MemoryLayout) -> Schedule:
             elif tag == "W":
                 moves.append((MV_W, int(parts[1]), int(parts[2])))
             elif tag == "C":
-                y = int(parts[4]) if len(parts) > 4 else -1
-                moves.append((MV_C, int(parts[1]), _OP_CODES[parts[2]], int(parts[3]), y))
+                op = _OP_CODES[parts[2]]
+                binary = op <= OP_SUB
+                y = int(parts[4]) if binary else -1
+                if len(parts) != (5 if binary else 4) or y < 0 and binary:
+                    raise ValueError("operands do not match the opcode")
+                moves.append((MV_C, int(parts[1]), op, int(parts[3]), y))
             elif tag == "E":
                 moves.append((MV_E, int(parts[1])))
             else:

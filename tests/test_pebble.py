@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_W, OP_ADD, OP_MUL,
-                             MachineConfig, MemoryLayout, Schedule,
+from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_W, OP_ADD, OP_CPY, OP_MUL,
+                             OP_NEG, OP_SUB, MachineConfig, MemoryLayout, Schedule,
                              ScheduleError, check_parsimonious, dump_schedule,
                              parse_schedule, replay_values, simulate)
 from hybridmm.ringmat import Matrix, mat_mul_naive
@@ -117,7 +117,26 @@ def test_write_requires_cached_value():
      "BAD_BLOCK", 2, "write of 3 words with B=2"),
     ([(MV_R, 0, 1), (MV_E, 0), (MV_E, 0)], 8, 1,
      "ILLEGAL_OPERAND", 2, "evict of 0 not in cache"),
-], ids=["compute-first-operand", "compute-overflow", "write-block", "evict-uncached"])
+    ([(MV_R, 0, 0)], 8, 2,
+     "BAD_BLOCK", 0, "read of 0 words with B=2"),
+    ([(MV_R, 7, 2)], 8, 2,
+     "UNDEFINED_READ", 0, "address 8 undefined in slow memory"),
+    ([(MV_R, 0, 2), (MV_R, 2, 2)], 3, 2,
+     "CACHE_OVERFLOW", 1, "occupancy 4 exceeds M=3"),
+    # re-read words take no new slot: the cache fills only at step 2
+    ([(MV_R, 0, 2), (MV_R, 0, 2), (MV_R, 1, 2), (MV_R, 0, 1), (MV_R, 4, 1)], 3, 2,
+     "CACHE_OVERFLOW", 4, "occupancy 4 exceeds M=3"),
+    ([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 8, OP_MUL, 0, -1)], 8, 1,
+     "ILLEGAL_OPERAND", 2, "mul needs a second operand"),
+    ([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 8, OP_MUL, 0, -5)], 8, 1,
+     "ILLEGAL_OPERAND", 2, "mul needs a second operand"),
+    ([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 8, OP_CPY, 0, 4)], 8, 1,
+     "ILLEGAL_OPERAND", 2, "cpy takes one operand, got second operand 4"),
+    ([(MV_R, 0, 1), (MV_C, 8, OP_NEG, 0, -2)], 8, 1,
+     "ILLEGAL_OPERAND", 1, "neg takes one operand, got second operand -2"),
+], ids=["compute-first-operand", "compute-overflow", "write-block", "evict-uncached",
+        "empty-read", "block-read-second-word", "block-read-overflow", "block-reread",
+        "binary-without-y", "binary-negative-y", "unary-with-y", "unary-bad-y"])
 def test_simulate_error_sites(moves, m, b, kind, step, msg):
     with pytest.raises(ScheduleError) as exc:
         simulate(Schedule(moves, MemoryLayout(2)), MachineConfig(m, b))
@@ -208,23 +227,62 @@ PINNED_MUTANT_TALLY = (461, {
 PINNED_MUTANT_SHA256 = "f7c56619442297d37155818ac3584c4f81bfe3a7f9b5b285a624908e6c5208ca"
 
 
-def test_parsimony_of_one_move_mutants_pinned():
+def _mutants(cases, seed, count):
+    rng = random.Random(seed)
+    return [Schedule(mutant, sched.layout)
+            for sched in cases for mutant in _one_move_mutants(sched.moves, rng, count)]
+
+
+def _word_mutants():
     """400 seeded mutants each of a blocked schedule at M=3 (accumulator
     resident, one write per output word), an in-cache Strassen schedule and
-    a spilling Winograd schedule with B=2.  Their mutants raise only the two
-    eviction messages; the hand-built schedules above pin the two
-    write-back messages."""
-    cases = [gen_standard_blocked_schedule(4, MachineConfig(3, 1)),
-             gen_hybrid_schedule(uniform_plan(4, 1), MachineConfig(48, 1)),
-             gen_hybrid_schedule(uniform_plan(4, 2, WINOGRAD), MachineConfig(5, 2))]
-    rng = random.Random(2024)
-    found = []
-    for sched in cases:
-        for mutant in _one_move_mutants(sched.moves, rng, 400):
-            found.append(check_parsimonious(Schedule(mutant, sched.layout)).violations)
+    a spilling Winograd schedule with B=2 (which moves one word at a
+    time)."""
+    return _mutants([gen_standard_blocked_schedule(4, MachineConfig(3, 1)),
+                     gen_hybrid_schedule(uniform_plan(4, 1), MachineConfig(48, 1)),
+                     gen_hybrid_schedule(uniform_plan(4, 2, WINOGRAD), MachineConfig(5, 2))],
+                    2024, 400)
+
+
+def _block_mutants():
+    """300 seeded mutants each of two schedules at B=4 whose reads and
+    writes move up to three words."""
+    return _mutants([gen_standard_blocked_schedule(4, MachineConfig(16, 4)),
+                     gen_hybrid_schedule(uniform_plan(8, 2), MachineConfig(20, 4))],
+                    2025, 300)
+
+
+def test_parsimony_of_one_move_mutants_pinned():
+    """The mutants of ``_word_mutants`` raise only the two eviction
+    messages; the hand-built schedules above pin the two write-back
+    messages."""
+    found = [check_parsimonious(mutant).violations for mutant in _word_mutants()]
     kinds = Counter(re.sub(r"\d+", "#", reason) for v in found for _, reason in v)
     assert (sum(map(bool, found)), dict(kinds)) == PINNED_MUTANT_TALLY
     assert hashlib.sha256(repr(found).encode()).hexdigest() == PINNED_MUTANT_SHA256
+
+
+@pytest.mark.parametrize("corpus,machines,digest", [
+    (_word_mutants, [(3, 1), (48, 1), (5, 2)],
+     "25e059d0cd7f33f064900d91036d60bf7bf0dda9a0f1e41fba5ce3fedba4dc9f"),
+    (_block_mutants, [(20, 4), (16, 2), (8, 4)],
+     "4c38f03805470753d54d3e2e383133d2754ab04506fdaf58e958368508047f5c"),
+], ids=["word", "block"])
+def test_simulate_of_one_move_mutants_pinned(corpus, machines, digest):
+    """Every mutant simulated on each machine: the I/O counts of a legal
+    one, and the kind, step and message of the first fault of an illegal
+    one, which pins the order of the checks within a move."""
+    mutants = corpus()
+    outcomes = []
+    for m, b in machines:
+        cfg = MachineConfig(m, b)
+        for mutant in mutants:
+            try:
+                outcomes.append(simulate(mutant, cfg))
+            except ScheduleError as exc:
+                outcomes.append((exc.kind, exc.step, str(exc)))
+    kinds = Counter(o[0] if isinstance(o, tuple) else "legal" for o in outcomes)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == digest, kinds
 
 
 def test_empty_schedule_parsimonious():
@@ -265,3 +323,12 @@ def test_dump_parse_round_trip():
 def test_parse_schedule_rejects_garbage():
     with pytest.raises(ValueError):
         parse_schedule("Q 1 2\n", MemoryLayout(2))
+    # a compute must carry as many operands as its opcode takes: a product
+    # with one operand would make ``replay_values`` fail on a missing word
+    with pytest.raises(ValueError, match="bad schedule line 3"):
+        parse_schedule("R 0 1\nR 1 1\nC 2 mul 0\nW 2 1\n", MemoryLayout(1))
+    for line in ["C 2 mul 0 -5", "C 2 add 0 1 1", "C 2 cpy 0 1", "C 2 neg 0 -1"]:
+        with pytest.raises(ValueError, match="bad schedule line 1"):
+            parse_schedule(line, MemoryLayout(1))
+    assert parse_schedule("C 2 sub 0 1\nC 3 cpy 2\nC 3 neg 3\n", MemoryLayout(1)).moves == [
+        (MV_C, 2, OP_SUB, 0, 1), (MV_C, 3, OP_CPY, 2, -1), (MV_C, 3, OP_NEG, 3, -1)]
