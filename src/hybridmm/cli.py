@@ -62,7 +62,7 @@ from .cdag import (EncoderGraph, build_cdag, min_dominator_size,
                    verify_dominator_type2, verify_encoder_connectivity,
                    verify_encoder_distinct_neighborhoods)
 from .engine import execute
-from .pebble import MachineConfig, check_parsimonious, dump_schedule, simulate
+from .pebble import MachineConfig, check_parsimonious, dump_lines, simulate
 from .plans import (MAX_PLAN_DEPTH, SCHEMES, FastScheme, StandardLeaf, check_coefficients,
                     parse_plan, random_plan, uniform_plan)
 from .ringmat import Matrix, is_pow2, mat_mul_naive
@@ -236,10 +236,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# Generating, simulating and checking a schedule costs about 102 bytes a
-# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 470 MB peak
-# RSS, replay templates included), so this many moves peak near 3.1 GB,
-# under half of a 7 GB machine.
+# Generating, simulating and checking a schedule costs about 42 bytes a
+# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 212 MB peak
+# RSS; n=128, n0=1, M=12: 19,744,108 moves, 718 MB).  The schedule stores
+# about 6 % of its moves, so most of that is the walks' maps of the words
+# written.  This many moves peak near 1.3 GB, under a fifth of a 7 GB
+# machine.
 MAX_SIMULATE_MOVES = 30_000_000
 
 
@@ -279,7 +281,7 @@ def cmd_simulate(args) -> int:
         stats = simulate(sched, cfg)
         pars = check_parsimonious(sched)
         if dump:
-            dump.write(dump_schedule(sched))
+            dump.writelines(dump_lines(sched))
     out = {
         "label": sched.label,
         "moves": len(sched.moves),

@@ -61,16 +61,19 @@ in-cache leaves and for the blocked generator when the whole problem fits.
 
 A uniform plan applies one sub-structure at every node of a level, so most
 streamed sub-problems are translated copies of one another.  ``_gen_node``
-therefore generates each distinct sub-problem once per generation and
-replays it after that.  The memo key is the node's identity and the strides
-of its a, b and c views.  A replay appends the recorded moves again, each
-address moved by the offset of its segment: the a, b and c views' spans
-and the temporaries the sub-problem allocated, four disjoint ranges.  Two
-facts make a replay exact, and ``_gen_node`` asserts both: the cache is
-empty at every entry and exit, and no ``attempt`` is open, so a replay
-needs no budget check and is never rolled back.  A template is the
-range of the schedule's own list that the first copy emitted, so it costs
-no memory beyond the distinct addresses that the range touches.
+therefore generates each distinct sub-problem once per generation, as a
+``pebble.Template``, and stands for it by one record, at that call and at
+every later one.  The memo key is the node's identity and the strides of
+its a, b and c views.  A record gives the bases of the template's four
+segments at its call: the a, b and c views' spans and the temporaries the
+sub-problem allocated, four disjoint ranges.  Expanding it moves each
+address by the offset of its segment (see ``pebble``).  Two facts make a
+record exact, and ``_gen_node`` asserts both: the cache is empty at every
+entry and exit, and no ``attempt`` is open, so a replay needs no budget
+check and is never rolled back.  When a sub-problem ends, its moves leave
+the emitter's list for its template's body, so a schedule is one record of
+the whole problem, and each body holds the moves its own call emitted and
+the records of its sub-problems.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .pebble import (MV_C, MV_E, MV_R, MV_W, OP_ADD, OP_CPY, OP_MUL, OP_NEG,
-                     OP_SUB, MachineConfig, MemoryLayout, Schedule)
+from .pebble import (MV_C, MV_E, MV_R, MV_REC, MV_W, OP_ADD, OP_CPY, OP_MUL,
+                     OP_NEG, OP_SUB, MachineConfig, MemoryLayout, Moves, Schedule,
+                     Template)
 from .plans import FastScheme, RecursionPlan, StandardLeaf, StandardVariant
 
 @dataclass(frozen=True)
@@ -709,75 +713,31 @@ def _read_incache(em, node, av, bv, cv):
     _incache_node(em, node, av, bv, cv, write_out=True, own_a=True, own_b=True)
 
 
-class _Template:
-    """The moves of one ``_gen_node`` call, ``moves[start:end]``, kept where
-    they are in the schedule, and the four address segments they touch: the
-    a, b and c views' spans and the temporaries the call allocated.  The
-    segments are disjoint, since every view is an input, the output or a
-    temporary allocated before the call."""
-
-    __slots__ = ("start", "end", "segments", "addrs")
-
-    def __init__(self, start, end, views, temp_lo, temp_hi):
-        self.start, self.end = start, end
-        self.segments = tuple((v.base, v.base + (v.rows - 1) * v.stride + v.cols)
-                              for v in views) + ((temp_lo, temp_hi),)
-        self.addrs = None  # per segment, the addresses the moves touch; set at the first replay
-
-    def _segment_addrs(self, moves):
-        ordered = sorted(self.segments)
-        assert all(hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
-        seen = set()
-        for mv in moves[self.start:self.end]:
-            seen.add(mv[1])
-            if mv[0] == MV_C:
-                seen.add(mv[3])
-                seen.add(mv[4])
-        seen.discard(-1)
-        addrs = tuple([] for _ in self.segments)
-        for x in seen:
-            for k, (lo, hi) in enumerate(self.segments):
-                if lo <= x < hi:
-                    addrs[k].append(x)
-                    break
-            else:
-                raise AssertionError(f"address {x} lies in no segment")
-        return addrs
-
-    def replay(self, em, views):
-        """Append the moves again for ``views`` and the next temporaries,
-        each address moved by the offset of its segment."""
-        moves = em.moves
-        if self.addrs is None:
-            self.addrs = self._segment_addrs(moves)
-        bases = [v.base for v in views] + [em.temp_ptr]
-        to = {-1: -1}  # a compute's absent second operand
-        for base, (lo, _), xs in zip(bases, self.segments, self.addrs):
-            to.update({x: x + base - lo for x in xs})
-        moves.extend([(MV_C, to[mv[1]], mv[2], to[mv[3]], to[mv[4]]) if mv[0] == MV_C else
-                      (MV_E, to[mv[1]]) if mv[0] == MV_E else
-                      (mv[0], to[mv[1]], mv[2])
-                      for mv in moves[self.start:self.end]])
-        temp_lo, temp_hi = self.segments[3]
-        em.temp_ptr += temp_hi - temp_lo
-
-
 def _gen_node(em, node, av, bv, cv):
     # the cache is empty and no attempt is open at every entry, so the
     # moves depend only on the node, the views' strides and the addresses
     assert not em.resident and not em.attempts
+    views = (av, bv, cv)
     key = (id(node), av.stride, bv.stride, cv.stride)
+    temp_lo = em.temp_ptr
     template = em.templates.get(key)
-    if template is not None:
-        template.replay(em, (av, bv, cv))
-        return
-    start, temp_lo = len(em.moves), em.temp_ptr
-    if isinstance(node, StandardLeaf):
-        _blocked(em, av, bv, cv)
-    elif not em.attempt(_read_incache, em, node, av, bv, cv):
-        _stream_fast(em, node, av, bv, cv)
-    assert not em.resident
-    em.templates[key] = _Template(start, len(em.moves), (av, bv, cv), temp_lo, em.temp_ptr)
+    if template is None:
+        start = len(em.moves)
+        if isinstance(node, StandardLeaf):
+            _blocked(em, av, bv, cv)
+        elif not em.attempt(_read_incache, em, node, av, bv, cv):
+            _stream_fast(em, node, av, bv, cv)
+        assert not em.resident
+        # every view is an input, the output or a temporary allocated before
+        # the call, so the four segments are disjoint
+        segments = tuple((v.base, v.base + (v.rows - 1) * v.stride + v.cols)
+                         for v in views) + ((temp_lo, em.temp_ptr),)
+        template = em.templates[key] = Template(em.moves[start:], segments)
+        del em.moves[start:]
+    else:
+        lo, hi = template.segments[3]
+        em.temp_ptr += hi - lo
+    em.moves.append((MV_REC, template, (av.base, bv.base, cv.base, temp_lo)))
 
 
 def _generate(plan: RecursionPlan, cfg: MachineConfig, kind: str) -> Schedule:
@@ -786,7 +746,7 @@ def _generate(plan: RecursionPlan, cfg: MachineConfig, kind: str) -> Schedule:
     em = _Emitter(cfg, layout.temp_base)
     _gen_node(em, plan, *(View(base, n, n, n) for base in
                           (layout.a_base, layout.b_base, layout.c_base)))
-    return Schedule(em.moves, layout, label=f"{kind}(n={n},M={cfg.M},B={cfg.B})")
+    return Schedule(Moves(em.moves), layout, label=f"{kind}(n={n},M={cfg.M},B={cfg.B})")
 
 
 def gen_hybrid_schedule(plan: RecursionPlan, cfg: MachineConfig) -> Schedule:

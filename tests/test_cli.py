@@ -11,7 +11,7 @@ import pytest
 from hybridmm import cli
 from hybridmm.cdag import build_cdag
 from hybridmm.cli import ConfigError, main, parse_sweep_config
-from hybridmm.pebble import MachineConfig, simulate
+from hybridmm.pebble import MachineConfig, dump_schedule, simulate
 from hybridmm.plans import (MAX_PLAN_DEPTH, STRASSEN, WINOGRAD, random_plan, serialize_plan,
                             uniform_plan)
 from hybridmm.schedules import gen_hybrid_schedule
@@ -209,8 +209,13 @@ def test_simulate(plan_file, tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["parsimonious"] is True
     assert data["io_total"] == data["reads"] + data["writes"]
-    first = dump.read_text().splitlines()[0].split()
+    text = dump.read_text()
+    first = text.splitlines()[0].split()
     assert first[0] in {"R", "W", "C", "E"}
+    # the dump is the whole expansion of the schedule's records
+    sched = gen_hybrid_schedule(uniform_plan(16, 8), MachineConfig(12, 1))
+    assert text == dump_schedule(sched)
+    assert data["moves"] == len(sched.moves) == text.count("\n")
 
 
 def test_simulate_unwritable_dump_fails_first(plan_file, tmp_path, monkeypatch, capsys):

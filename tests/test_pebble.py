@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_W, OP_ADD, OP_CPY, OP_MUL,
-                             OP_NEG, OP_SUB, MachineConfig, MemoryLayout, Schedule,
-                             ScheduleError, check_parsimonious, dump_schedule,
-                             parse_schedule, replay_values, simulate)
+from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_REC, MV_W, OP_ADD, OP_CPY, OP_MUL,
+                             OP_NEG, OP_SUB, IoStats, MachineConfig, MemoryLayout, Moves,
+                             Schedule, ScheduleError, Template, check_parsimonious,
+                             dump_schedule, parse_schedule, replay_values, simulate)
 from hybridmm.ringmat import Matrix, mat_mul_naive
 from hybridmm.plans import WINOGRAD, uniform_plan
 from hybridmm.schedules import gen_hybrid_schedule, gen_standard_blocked_schedule
@@ -134,9 +134,14 @@ def test_write_requires_cached_value():
      "ILLEGAL_OPERAND", 2, "cpy takes one operand, got second operand 4"),
     ([(MV_R, 0, 1), (MV_C, 8, OP_NEG, 0, -2)], 8, 1,
      "ILLEGAL_OPERAND", 1, "neg takes one operand, got second operand -2"),
+    ([(MV_R, 0, 1), (MV_C, 8, 7, 0, -1), (MV_W, 8, 1)], 3, 1,
+     "ILLEGAL_OPERAND", 1, "unknown opcode 7"),
+    ([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 8, -2, 0, 4)], 8, 1,
+     "ILLEGAL_OPERAND", 2, "unknown opcode -2"),
 ], ids=["compute-first-operand", "compute-overflow", "write-block", "evict-uncached",
         "empty-read", "block-read-second-word", "block-read-overflow", "block-reread",
-        "binary-without-y", "binary-negative-y", "unary-with-y", "unary-bad-y"])
+        "binary-without-y", "binary-negative-y", "unary-with-y", "unary-bad-y",
+        "unknown-opcode-one-operand", "unknown-opcode-two-operands"])
 def test_simulate_error_sites(moves, m, b, kind, step, msg):
     with pytest.raises(ScheduleError) as exc:
         simulate(Schedule(moves, MemoryLayout(2)), MachineConfig(m, b))
@@ -153,14 +158,31 @@ def test_parsimonious_generated_schedule():
 
 def test_dead_read_flagged():
     cfg = MachineConfig(12, 1)
-    sched = gen_standard_blocked_schedule(2, cfg)
-    sched.moves.append((MV_R, 0, 1))
+    gen = gen_standard_blocked_schedule(2, cfg)
+    sched = Schedule(list(gen.moves) + [(MV_R, 0, 1)], gen.layout)
     simulate(sched, cfg)
     report = check_parsimonious(sched)
     assert not report.ok
     # flagged when the value is discarded, here at the schedule's end
     assert report.violations[0][0] >= len(sched.moves) - 1
     assert "read" in report.violations[0][1]
+
+
+def test_moves_read_as_their_expansion():
+    # a generated schedule is one record; its moves read as the expansion
+    sched = gen_hybrid_schedule(uniform_plan(8, 2), MachineConfig(3, 1))
+    flat = list(sched.moves)
+    assert len(sched.moves.entries) == 1 and sched.moves.entries[0][0] == MV_REC
+    assert len(sched.moves) == len(flat) and not any(mv[0] == MV_REC for mv in flat)
+    assert sched.moves == flat and sched.moves != flat[:-1]
+    assert Schedule(flat, sched.layout).moves == sched.moves
+    for key in (slice(5, 40), slice(-3, None), slice(None, None, 7)):
+        assert type(sched.moves[key]) is list and sched.moves[key] == flat[key]
+    assert sched.moves[7] == flat[7] and sched.moves[-1] == flat[-1]
+    with pytest.raises(IndexError):
+        sched.moves[len(flat)]
+    assert dump_schedule(sched) == dump_schedule(Schedule(flat, sched.layout))
+    assert dump_schedule(Schedule([], MemoryLayout(2))) == "\n"
 
 
 def _parsimony(moves):
@@ -201,6 +223,121 @@ def test_spilled_temporary_overwritten_unused_flagged():
                        (MV_W, 12, 1), (MV_E, 12), (MV_C, 12, OP_ADD, 0, 4),
                        (MV_W, 12, 1), (MV_E, 12), (MV_E, 0), (MV_E, 4)]) == [
         (6, "computed value at 12 overwritten in slow memory unused")]
+
+
+def _record(template, *bases):
+    return (MV_REC, template, bases)
+
+
+# hand-built templates over the n=2 layout; the four segments are the a, b
+# and c operands' spans and the temporaries
+# reads its a word, computes its c word from it and writes that back
+_USES_A = Template([(MV_R, 12, 1), (MV_R, 4, 1), (MV_C, 13, OP_MUL, 12, 4), (MV_E, 12),
+                    (MV_E, 4), (MV_W, 13, 1), (MV_E, 13)],
+                   ((12, 13), (4, 5), (13, 14), (14, 14)))
+# writes over its a word without reading it
+_OVERWRITES_A = Template([(MV_R, 4, 1), (MV_C, 12, OP_CPY, 4, -1), (MV_W, 12, 1), (MV_E, 12),
+                          (MV_E, 4)],
+                         ((12, 13), (4, 5), (13, 14), (14, 14)))
+# computes its c word, spills it, and has a nested record overwrite it
+_NESTS = Template([(MV_R, 1, 1), (MV_C, 12, OP_CPY, 1, -1), (MV_W, 12, 1), (MV_E, 12),
+                   (MV_E, 1), _record(_OVERWRITES_A, 12, 5, 13, 14)],
+                  ((1, 2), (5, 6), (12, 13), (13, 14)))
+# computes its c word, then a nested record overwrites its a word
+_WRAPS = Template([(MV_R, 5, 1), (MV_C, 13, OP_CPY, 5, -1), (MV_E, 5), (MV_W, 13, 1),
+                   (MV_E, 13), _record(_OVERWRITES_A, 12, 4, 14, 15)],
+                  ((12, 13), (4, 6), (13, 14), (14, 15)))
+# writes a word outside its segments, which no record moves
+_STRAY = Template([(MV_R, 4, 1), (MV_C, 15, OP_CPY, 4, -1), (MV_W, 15, 1), (MV_E, 15),
+                   (MV_E, 4)],
+                  ((12, 13), (4, 5), (13, 14), (14, 14)))
+_HOLDS_STRAY = Template([_record(_STRAY, 12, 4, 13, 14)], ((0, 1), (4, 5), (12, 16), (16, 16)))
+# reads its a and b words, which abut, as one run
+_RUN_SPANS = Template([(MV_R, 12, 2), (MV_C, 14, OP_ADD, 12, 13), (MV_E, 12), (MV_E, 13),
+                       (MV_W, 14, 1), (MV_E, 14)],
+                      ((12, 13), (13, 14), (14, 15), (15, 15)))
+# uses its a word without reading it, which only a cached word allows
+_NEEDS_CACHED_A = Template([(MV_R, 4, 1), (MV_C, 12, OP_MUL, 0, 4), (MV_E, 0), (MV_E, 4),
+                            (MV_W, 12, 1), (MV_E, 12)],
+                           ((0, 1), (4, 5), (12, 13), (13, 13)))
+# leaves its b word cached
+_KEEPS_B = Template([(MV_R, 4, 1)], ((0, 1), (4, 5), (12, 13), (13, 13)))
+# reads its a word and evicts it unused
+_READS_A = Template([(MV_R, 12, 1), (MV_E, 12)], ((12, 13), (4, 5), (13, 14), (14, 14)))
+
+_SPILL_12 = [(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_W, 12, 1), (MV_E, 12), (MV_E, 0)]
+
+
+@pytest.mark.parametrize("entries,outcome,violations", [
+    # the outer value a record consumes is consumed outside it too
+    (_SPILL_12 + [_record(_USES_A, 12, 4, 13, 14), (MV_R, 1, 1),
+                  (MV_C, 12, OP_CPY, 1, -1), (MV_W, 12, 1), (MV_E, 12), (MV_E, 1)],
+     IoStats(4, 3, 3, 3), []),
+    # a word a record leaves written holds a computed value never consumed
+    ([_record(_USES_A, 0, 4, 13, 14), (MV_R, 1, 1), (MV_C, 13, OP_CPY, 1, -1),
+      (MV_W, 13, 1), (MV_E, 13), (MV_E, 1)],
+     IoStats(3, 2, 3, 2), [(9, "computed value at 13 overwritten in slow memory unused")]),
+    # a record overwrites an outer value that was computed and never used,
+    # or used, or an input, or an output word
+    (_SPILL_12 + [_record(_OVERWRITES_A, 12, 4, 13, 14)],
+     IoStats(2, 2, 2, 2), [(7, "computed value at 12 overwritten in slow memory unused")]),
+    (_SPILL_12[:3] + [(MV_C, 13, OP_CPY, 12, -1), (MV_W, 13, 1), (MV_E, 13)] + _SPILL_12[3:]
+     + [_record(_OVERWRITES_A, 12, 4, 14, 15)], IoStats(2, 3, 3, 3), []),
+    ([_record(_OVERWRITES_A, 0, 4, 13, 14)], IoStats(1, 1, 2, 1), []),
+    ([(MV_R, 0, 1), (MV_C, 8, OP_CPY, 0, -1), (MV_W, 8, 1), (MV_E, 8), (MV_E, 0),
+      _record(_OVERWRITES_A, 8, 4, 13, 14)], IoStats(2, 2, 2, 2), []),
+    # the same nested record overwrites a temporary, then an output word
+    ([_record(_NESTS, 1, 5, 12, 13), _record(_NESTS, 2, 6, 16, 17), _record(_NESTS, 3, 7, 8, 18)],
+     IoStats(6, 6, 2, 6), [(7, "computed value at 12 overwritten in slow memory unused"),
+                           (17, "computed value at 16 overwritten in slow memory unused")]),
+    # the write over a word the middle record never touches is judged outside it
+    ([(MV_R, 0, 1), (MV_C, 16, OP_CPY, 0, -1), (MV_W, 16, 1), (MV_E, 16), (MV_E, 0),
+      _record(_WRAPS, 16, 4, 17, 18)],
+     IoStats(3, 3, 2, 3), [(12, "computed value at 16 overwritten in slow memory unused")]),
+    # a word outside a nested template's segments stays where it is when
+    # the record around it moves, so the second copy overwrites the first
+    ([_record(_HOLDS_STRAY, 0, 4, 12, 16), _record(_HOLDS_STRAY, 0, 4, 20, 24)],
+     IoStats(2, 2, 2, 2), [(7, "computed value at 15 overwritten in slow memory unused")]),
+    # a record that puts two segments on one word is walked move by move
+    (_SPILL_12 + [_record(_USES_A, 12, 4, 12, 14)],
+     ("ILLEGAL_OPERAND", 10, "ILLEGAL_OPERAND at step 10: write of 12 not in cache"), None),
+    # a run moves with the segment of its first word, so a record that
+    # moves its two segments apart is walked move by move
+    ([(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_C, 13, OP_CPY, 0, -1), (MV_W, 12, 2),
+      (MV_E, 12), (MV_E, 13), (MV_E, 0), _record(_RUN_SPANS, 12, 13, 14, 15),
+      _record(_RUN_SPANS, 0, 13, 17, 18)],
+     ("ILLEGAL_OPERAND", 14, "ILLEGAL_OPERAND at step 14: operand 13 not in cache"), None),
+    # the first record runs on a cached word, move by move; the second faults
+    # in its summary, at the moved address
+    ([(MV_R, 0, 1), _record(_NEEDS_CACHED_A, 0, 4, 12, 13),
+      _record(_NEEDS_CACHED_A, 1, 5, 14, 15)],
+     ("ILLEGAL_OPERAND", 8, "ILLEGAL_OPERAND at step 8: operand 1 not in cache"), None),
+    # a template that leaves a word cached is walked move by move
+    ([_record(_KEEPS_B, 0, 4, 12, 13), (MV_E, 4), _record(_KEEPS_B, 0, 5, 12, 13), (MV_E, 5)],
+     IoStats(2, 0, 1, 0), [(1, "value read into cache at 4 evicted/overwritten unused"),
+                           (3, "value read into cache at 5 evicted/overwritten unused")]),
+    # a record reads a word nothing defined, at its moved address
+    (_SPILL_12 + [_record(_READS_A, 12, 4, 13, 14), _record(_READS_A, 20, 4, 21, 22)],
+     ("UNDEFINED_READ", 7, "UNDEFINED_READ at step 7: address 20 undefined in slow memory"),
+     None),
+], ids=["consumed-inside", "written-inside", "overwrites-unused", "overwrites-used",
+        "overwrites-input", "overwrites-output", "nested-overwrites", "overwrites-through",
+        "stray-word", "segments-overlap", "run-across-segments", "fault-moved",
+        "ends-cached", "undefined-moved"])
+def test_records_match_their_expansion(entries, outcome, violations):
+    sched = Schedule(Moves(entries), MemoryLayout(2))
+    flat = Schedule(list(sched.moves), sched.layout)
+    walks = []
+    for s in (sched, flat):
+        try:
+            stats = simulate(s, MachineConfig(3, 2))
+        except ScheduleError as exc:
+            stats = (exc.kind, exc.step, str(exc))
+        walks.append((stats, check_parsimonious(s).violations))
+    assert walks[0] == walks[1]
+    assert walks[0][0] == outcome
+    if violations is not None:
+        assert walks[0][1] == violations
 
 
 def _one_move_mutants(moves, rng, count):

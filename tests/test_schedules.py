@@ -1,13 +1,15 @@
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from hybridmm import schedules
+from hybridmm import pebble, schedules
 from hybridmm.bounds import sequential_bound
-from hybridmm.pebble import (MachineConfig, check_parsimonious, dump_schedule,
+from hybridmm.pebble import (MV_C, MV_E, MV_REC, IoStats, MachineConfig, Moves, Schedule,
+                             ScheduleError, Template, check_parsimonious, dump_schedule,
                              replay_values, simulate)
 from hybridmm.plans import (STRASSEN, WINOGRAD, StandardLeaf, StandardVariant,
                             random_plan, uniform_plan)
@@ -304,15 +306,17 @@ _PINNED_DUMPS = [
 ]
 
 
+def _pinned_schedule(gen, scheme, n, n0, cfg):
+    if gen == "hybrid":
+        return gen_hybrid_schedule(uniform_plan(n, n0, scheme), cfg)
+    if gen == "random":
+        return gen_hybrid_schedule(random_plan(n, 0.7, seed=n0, scheme=scheme), cfg)
+    return gen_standard_blocked_schedule(n, cfg)
+
+
 @pytest.mark.parametrize("gen,scheme,n,n0,m,b,key,digest", _PINNED_DUMPS)
 def test_generated_moves_pinned(gen, scheme, n, n0, m, b, key, digest):
-    cfg = MachineConfig(m, b)
-    if gen == "hybrid":
-        sched = gen_hybrid_schedule(uniform_plan(n, n0, scheme), cfg)
-    elif gen == "random":
-        sched = gen_hybrid_schedule(random_plan(n, 0.7, seed=n0, scheme=scheme), cfg)
-    else:
-        sched = gen_standard_blocked_schedule(n, cfg)
+    sched = _pinned_schedule(gen, scheme, n, n0, MachineConfig(m, b))
     assert hashlib.sha256(dump_schedule(sched).encode()).hexdigest() == digest
 
 
@@ -331,29 +335,169 @@ class _NoTemplates(dict):
 ], ids=["random-winograd-n32-M20-B3", "strassen-n16-n0_2-M3-B4", "strassen-n16-n0_4-M48-B1",
         "winograd-n16-n0_2-M20-B3"])
 def test_replayed_subtrees_match_fresh_generation(monkeypatch, plan, m, b):
-    # every replayed subtree's moves equal what a fresh emitter, which keeps
-    # no template, generates for the same node, views and temporaries
+    # every replayed subtree's record expands to what a fresh emitter, which
+    # keeps no template, generates for the same node, views and temporaries
     hits = []
     real_gen_node = schedules._gen_node
 
     def gen_node(em, node, av, bv, cv):
-        n_templates, start, temp_ptr = len(em.templates), len(em.moves), em.temp_ptr
+        n_templates, temp_ptr = len(em.templates), em.temp_ptr
         real_gen_node(em, node, av, bv, cv)
         if len(em.templates) == n_templates:  # a generated subtree records one
-            hits.append((node, (av, bv, cv), temp_ptr, start, len(em.moves), em.temp_ptr))
+            hits.append((node, (av, bv, cv), temp_ptr, em.moves[-1], em.temp_ptr))
 
     monkeypatch.setattr(schedules, "_gen_node", gen_node)
     cfg = MachineConfig(m, b)
-    moves = gen_hybrid_schedule(plan, cfg).moves
+    gen_hybrid_schedule(plan, cfg)
     monkeypatch.undo()
     assert hits
     assert any(v.stride != v.cols for _, views, *_ in hits for v in views)
-    for node, views, temp_ptr, start, end, temp_end in hits:
+    for node, views, temp_ptr, record, temp_end in hits:
+        assert record[0] == MV_REC and record[2] != record[1].lows
         fresh = schedules._Emitter(cfg, temp_ptr)
         fresh.templates = _NoTemplates()
         schedules._gen_node(fresh, node, *views)
-        assert fresh.moves == moves[start:end]
+        assert list(Moves(fresh.moves)) == list(Moves([record]))
         assert fresh.temp_ptr == temp_end
+
+
+def _walks(sched, machines):
+    """``simulate``'s IoStats, or its error's kind, step and message, on each
+    machine, and ``check_parsimonious``'s violations."""
+    outcomes = []
+    for m, b in machines:
+        try:
+            outcomes.append(simulate(sched, MachineConfig(m, b)))
+        except ScheduleError as exc:
+            outcomes.append((exc.kind, exc.step, str(exc)))
+    return outcomes, check_parsimonious(sched).violations
+
+
+def _flat(sched):
+    return Schedule(list(sched.moves), sched.layout)
+
+
+def _tighter(m, b):
+    """The generating machine, and two that some of its moves overflow or
+    exceed, so that faults inside templates are compared too."""
+    return [(m, b), (max(3, m - 1), b), (max(3, m // 2), max(1, b // 2))]
+
+
+@pytest.mark.parametrize("gen,scheme,n,n0,m,b,key,digest", _PINNED_DUMPS)
+def test_record_walk_matches_flat_walk_pinned(gen, scheme, n, n0, m, b, key, digest):
+    # the pinned cases include the four benchmark schedule points
+    sched = _pinned_schedule(gen, scheme, n, n0, MachineConfig(m, b))
+    flat = _flat(sched)
+    assert len(flat.moves.entries) == len(sched.moves) > len(sched.moves.entries)
+    assert _walks(sched, _tighter(m, b)) == _walks(flat, _tighter(m, b))
+
+
+def test_record_walk_matches_flat_walk_on_grid():
+    # criterion 3's grid at n = 8 and 16, under the generating machine and
+    # two tighter ones
+    faults = 0
+    for n in (8, 16):
+        plans = [uniform_plan(n, n0) for n0 in (1, 4, n)]
+        for m in (3, 12, 48, 192):
+            for b in (1, 4):
+                cfg = MachineConfig(m, b)
+                scheds = [gen_standard_blocked_schedule(n, cfg)]
+                scheds += [gen_hybrid_schedule(plan, cfg) for plan in plans]
+                for sched in scheds:
+                    walks = _walks(sched, _tighter(m, b))
+                    assert walks == _walks(_flat(sched), _tighter(m, b)), (n, m, b)
+                    faults += sum(isinstance(o, tuple) for o in walks[0])
+    assert faults
+
+
+def _templates(entries):
+    """Every template that ``entries`` record, with how many records of it
+    the expansion holds, in the order first met."""
+    found = {}
+
+    def visit(entries):
+        for e in entries:
+            if e[0] == MV_REC:
+                if e[1] not in found:
+                    found[e[1]] = 0
+                found[e[1]] += 1
+                visit(e[1].body)
+
+    visit(entries)
+    return found
+
+
+def _edit_template(sched, target, body):
+    """``sched`` with ``target``'s body replaced by ``body``, so that every
+    record of it replays the edit."""
+    new = {}
+
+    def rebuilt(entries):
+        return [(MV_REC, template(e[1]), e[2]) if e[0] == MV_REC else e for e in entries]
+
+    def template(t):
+        if t not in new:
+            new[t] = Template(body if t is target else rebuilt(t.body), t.segments)
+        return new[t]
+
+    return Schedule(Moves(rebuilt(sched.moves.entries)), sched.layout)
+
+
+def _template_mutants(sched, rng, count):
+    """Schedules that drop, duplicate, swap or re-address one move in the
+    body of a template recorded more than once; one edit in five drops an
+    eviction, which leaves a word cached when the body ends."""
+    templates = [t for t, uses in _templates(sched.moves.entries).items() if uses > 1]
+    for _ in range(count):
+        t = rng.choice(templates)
+        body = list(t.body)
+        moves = [i for i, mv in enumerate(body) if mv[0] != MV_REC]
+        kind = rng.randrange(5)
+        if kind == 4:
+            moves = [i for i in moves if body[i][0] == MV_E]
+        i = rng.choice(moves)
+        if kind == 0 or kind == 4:
+            del body[i]
+        elif kind == 1:
+            body.insert(i, body[i])
+        elif kind == 2:
+            j = min(i + rng.randint(1, 8), len(body) - 1)
+            body[i], body[j] = body[j], body[i]
+        else:
+            mv = list(body[i])
+            k = rng.choice([1, 3, 4] if mv[0] == MV_C else [1])
+            mv[k] += rng.choice((-1, 1))
+            body[i] = tuple(mv)
+        yield _edit_template(sched, t, body)
+
+
+def test_template_mutants_record_walk_matches_flat_walk(monkeypatch):
+    # the walkers take a record move by move when no summary can stand for
+    # it, as when its body ends with a word cached; count how often they do
+    moved = []
+    real_entries_at = pebble._entries_at
+
+    def entries_at(template, bases):
+        moved.append(template)
+        return real_entries_at(template, bases)
+
+    rng = random.Random(2026)
+    cases = [(uniform_plan(8, 1), 3, 1), (uniform_plan(8, 2, WINOGRAD), 5, 2),
+             (uniform_plan(8, 1), 12, 1)]
+    legal = faults = violations = 0
+    for plan, m, b in cases:
+        machines = _tighter(m, b)[:2]
+        sched = gen_hybrid_schedule(plan, MachineConfig(m, b))
+        for mutant in _template_mutants(sched, rng, 100):
+            monkeypatch.setattr(pebble, "_entries_at", entries_at)
+            walks = _walks(mutant, machines)
+            monkeypatch.undo()
+            assert walks == _walks(_flat(mutant), machines)
+            legal += isinstance(walks[0][0], IoStats)
+            faults += not isinstance(walks[0][0], IoStats)
+            violations += bool(walks[1])
+    assert legal and faults and violations
+    assert moved
 
 
 def test_incache_search_steps_bounded(monkeypatch):
