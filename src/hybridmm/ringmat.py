@@ -6,16 +6,19 @@ tolerance to pick.
 
 Matrices are square, row-major, immutable, and backed by int64 numpy arrays.
 ``matmul_mod`` returns the exact product mod p for moduli below 2**31 and
-inner dimensions up to 2**16, and raises ValueError outside those limits.
-It has three exact paths, chosen by inner dimension alone.  At inner
-dimension 1 (the 1x1 leaves of a plan cut off at n0 = 1) each entry is a
-single product below 2**62, taken in int64 and reduced once.  Below
-``LIMB_MIN_INNER`` it multiplies in int64, splitting one factor into 16-bit
-halves so that every sum stays below 2**63.  From there up it splits both
-factors into 16-bit limbs and runs four float64 matrix products through
-BLAS, as the FFLAS library does: each partial sum is an integer below 2**53
-(inner dimension times (2**16 - 1)**2 stays below 2**53 up to 2**21), which
-float64 holds exactly, and the limb products are recombined mod p in int64.
+inner dimensions k up to 2**16, and raises ValueError outside those limits.
+It has four exact paths.  At k = 1 (the 1x1 leaves of a plan cut off at
+n0 = 1) each entry is a single product below 2**62, taken in int64 and
+reduced once.  Up to k = 64 it splits b into 16-bit halves and takes two
+products, ``a @ hi`` and ``a @ lo``: every term is below 2**47, so every
+sum is below 2**53.  They run in float64 BLAS, which holds such sums
+exactly, from k = ``BLAS_MIN_INNER`` = 8, and in int64 below it.  From
+k = ``LIMB_MIN_INNER`` = 65 it splits both factors into 16-bit limbs and
+runs four float64 products through BLAS, as the FFLAS library does: each
+partial sum is an integer below k * 2**32, under 2**53 up to k = 2**21.
+The products are recombined mod p in int64 and reduced by a division by
+the modulus, which numpy does as a multiply and a shift, instead of its
+slower ``%``.
 """
 
 from __future__ import annotations
@@ -116,16 +119,20 @@ def _check_exact(modulus: int, inner: int):
         raise ValueError(f"inner dimension {inner} exceeds 2**16; int64 sums would overflow")
 
 
-# Inner dimension from which matmul_mod takes the float64 limb path.  The
-# limb path costs about 20 us more per call and wins on the work, so the
-# crossover moves down as stacks grow.  Milliseconds per call, int64 against
-# limbs, on a 2-core x86-64 machine (numpy 2.4, OpenBLAS on 2 threads), for
-# one product / a stack of 7 / a stack of 49:
-#   inner  8: 0.016 vs 0.036 / 0.021 vs 0.028 / 0.14 vs 0.11
-#   inner 16: 0.028 vs 0.041 / 0.087 vs 0.059 / 0.73 vs 0.34
-#   inner 32: 0.10 vs 0.063  / 0.45 vs 0.18   / 6.2 vs 3.0
-# and one 256^3 product 54 against 4.1 ms.
-LIMB_MIN_INNER = 16
+# matmul_mod's paths: the two products run in float64 BLAS from an inner
+# dimension of BLAS_MIN_INNER up, in int64 below it; four limbs from
+# LIMB_MIN_INNER up, where two products are no longer exact.  Microseconds
+# per call, int64 / two float64 products / four limbs, each path forced, on
+# a 2-core x86-64 machine shared with other jobs (numpy 2.4, OpenBLAS on 2
+# threads), for one k x k product / a stack of 7 / a stack of 49:
+#   inner  8:  18.3 / 22.4 / 35.0    29.4 / 29.0 / 46.4     102 / 63.4 / 95.1
+#   inner 16:  28.5 / 29.2 / 44.9    94.6 / 48.1 / 71.7     532 /  330 /  455
+#   inner 32:  95.1 / 39.9 / 60.2     525 /  106 /  160    4092 / 1551 / 2111
+#   inner 64:   569 / 81.2 /  129    3966 /  935 / 1307   19220 / 7051 / 10065
+# A single product at inner 8 pays a few microseconds more on BLAS than in
+# int64; a stack of 7 breaks even.
+BLAS_MIN_INNER = 8
+LIMB_MIN_INNER = 65
 
 
 def _limbs(x: np.ndarray):
@@ -137,32 +144,62 @@ def _limbs(x: np.ndarray):
     return hi, lo
 
 
+def _reduce(x: np.ndarray, modulus: int) -> np.ndarray:
+    """``x`` reduced mod p, in place unless it is a numpy scalar, for int64
+    entries in [0, 2**63).
+
+    It computes ``x - (x // p) * p`` on a uint64 view: numpy divides by a
+    scalar with a multiply and a shift, which made ``matmul_mod`` on a
+    ``(343, 16, 16)`` stack take 0.69 ms against 1.15 ms with ``%``; a
+    single small product pays about 4 us more for its three passes."""
+    u = x.view(np.uint64)
+    p = np.uint64(modulus)
+    q = u // p
+    q *= p
+    u -= q
+    return u.view(np.int64)
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact stacked matmul of int64 arrays with entries in [0, p).
 
     At inner dimension 1 the product is a broadcast elementwise product and
-    one reduction.  Below an inner dimension of ``LIMB_MIN_INNER`` the
-    product is taken in int64 with b split into 16-bit halves, keeping every
-    sum below 2**63.
-    From there up, a and b are split into 16-bit limbs, ``x = hi * 2**16 +
-    lo`` with hi < 2**15, and the four limb products run as float64 BLAS
-    matmuls.  For inner dimension k each partial sum is an integer below
-    k * 2**32, under 2**53 for k up to 2**21, so float64 holds it exactly.
-    The limb products are recombined mod p in int64 in base 2**16:
+    one reduction.
+    Below an inner dimension of ``LIMB_MIN_INNER`` (k <= 64) b is split into
+    16-bit halves, ``b = hi * 2**16 + lo``, and ``a @ hi`` and ``a @ lo``
+    are taken: each term is below 2**31 * 2**16 = 2**47, so each sum is
+    below 2**53, which float64 holds exactly.  The two products run in
+    float64 BLAS from an inner dimension of ``BLAS_MIN_INNER`` up, in int64
+    below it, and are recombined as ``((S_hi mod p) << 16) + S_lo``, below
+    2**54, and reduced.
+    From ``LIMB_MIN_INNER`` up, a is split as well, and the four limb
+    products run as float64 BLAS matmuls.  For inner dimension k each
+    partial sum is an integer below k * 2**32, under 2**53 for k up to
+    2**21.  They are recombined mod p in int64 in base 2**16:
     ``(S_hh << 16) + S_hl + S_lh`` stays below 2**62 + 2**48 for k up to
     2**16, and after one reduction ``(t << 16) + S_ll`` below 2**49.
-    All three paths are exact for p < 2**31 and inner dimensions up to 2**16;
+    Every path is exact for p < 2**31 and inner dimensions up to 2**16;
     outside those limits it raises ValueError.
     """
-    _check_exact(modulus, a.shape[-1])
-    if a.shape[-1] == 1 and a.ndim > 1 and b.ndim > 1:
+    k = a.shape[-1]
+    _check_exact(modulus, k)
+    if k == 1 and a.ndim > 1 and b.ndim > 1:
         # an outer product: each entry is one product below 2**62
         return a * b % modulus
-    if a.shape[-1] < LIMB_MIN_INNER:
-        b_hi, b_lo = np.divmod(b, 1 << 16)
-        hi = np.matmul(a, b_hi) % modulus
-        lo = np.matmul(a, b_lo) % modulus
-        return ((hi << 16) + lo) % modulus
+    if k < LIMB_MIN_INNER:
+        if k < BLAS_MIN_INNER:
+            hi = np.matmul(a, b >> 16)
+            lo = np.matmul(a, b & 0xFFFF)
+        else:
+            b_hi, b_lo = _limbs(b)
+            a = a.astype(np.float64)
+            hi = np.matmul(a, b_hi).astype(np.int64)
+            del b_hi
+            lo = np.matmul(a, b_lo).astype(np.int64)
+        hi = _reduce(hi, modulus)
+        hi <<= 16
+        hi += lo
+        return _reduce(hi, modulus)
     a_hi, a_lo = _limbs(a)
     b_hi, b_lo = _limbs(b)
     t = np.matmul(a_hi, b_hi).astype(np.int64)
@@ -175,11 +212,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     del b_hi
     t += mid.astype(np.int64)
     del mid
-    t %= modulus
+    t = _reduce(t, modulus)
     t <<= 16
     t += np.matmul(a_lo, b_lo).astype(np.int64)
-    t %= modulus
-    return t
+    return _reduce(t, modulus)
 
 
 def matmul_pyint(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:

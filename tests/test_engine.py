@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import hybridmm.engine
-from hybridmm.engine import _combine, _quads, execute, execute_stacked
-from hybridmm.plans import (STRASSEN, WINOGRAD, FastNode, StandardLeaf, StandardVariant,
-                            plan_stats, random_plan, uniform_plan)
+from hybridmm.engine import (_combine, _from_layout, _quads, _shallowest_leaf_depth, _to_layout,
+                             execute, execute_stacked)
+from hybridmm.plans import (STRASSEN, WINOGRAD, FastNode, FastScheme, StandardLeaf,
+                            StandardVariant, plan_stats, random_plan, uniform_plan)
 from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, mat_mul_naive, matmul_pyint
 
 IT = StandardVariant.ITERATIVE_DEF
@@ -240,8 +241,10 @@ def _combine_operands(k, p, seed):
 @pytest.mark.parametrize("p", [DEFAULT_MODULUS, 65537, 3])
 def test_combine_matches_python_int_oracle(k, p):
     # every coefficient row, written to a fresh array, into a contiguous
-    # slice of a stack, and into a strided quadrant
+    # slice of a stack, into a strided quadrant, and into a slot of a stack
+    # behind a leading axis, whose rows abut
     stack = np.empty((7, 2, 3, 2, 2), dtype=np.int64)
+    slots = np.empty((2, 7, 3, 2, 2), dtype=np.int64)
     whole = np.empty((2, 3, 4, 4), dtype=np.int64)
     for quads in _combine_operands(k, p, seed=k):
         for row in itertools.product((-1, 0, 1), repeat=k):
@@ -251,6 +254,8 @@ def test_combine_matches_python_int_oracle(k, p):
             assert np.array_equal(stack[3], want), row
             _combine(row, quads, p, _quads(whole)[1])
             assert np.array_equal(_quads(whole)[1], want), row
+            _combine(row, quads, p, slots[:, 3])
+            assert np.array_equal(slots[:, 3], want), row
 
 
 def test_combine_edge_rows():
@@ -264,3 +269,49 @@ def test_combine_edge_rows():
     # a lone +1 term is the block itself, untouched
     blocks = [np.full((3, 2, 2), v, dtype=np.int64) for v in range(4)]
     assert _combine((0, 0, 1, 0), blocks, p) is blocks[2]
+
+
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("levels", [0, 1, 3])
+def test_layout_round_trip(stack, levels):
+    rng = np.random.default_rng(len(stack) + levels)
+    x = rng.integers(0, DEFAULT_MODULUS, size=stack + (16, 16), dtype=np.int64)
+    y = _to_layout(x, levels)
+    assert y.shape == (4,) * levels + stack + (16 >> levels, 16 >> levels)
+    assert np.array_equal(_from_layout(y, levels), x)
+    if levels:
+        # entry q of the layout is quadrant q, itself laid out one level less
+        for q, quad in enumerate(_quads(x)):
+            assert np.array_equal(y[q], _to_layout(quad, levels - 1))
+
+
+def test_layout_walks_match_oracle():
+    # a single leaf (no levels), a random plan with a leaf under the root
+    # (one level), and a hand-built tree whose largest leaves sit at depth 4:
+    # shared subtrees, stacked at depth 2, over mixed children with smaller
+    # leaves below
+    leaf4 = StandardLeaf(BR, 4)
+    mixed8 = FastNode(STRASSEN, (leaf4, uniform_plan(4, 1), StandardLeaf(IT, 4), leaf4,
+                                 random_plan(4, 0.5, seed=2), uniform_plan(4, 2, WINOGRAD), leaf4))
+    tree = FastNode(WINOGRAD, (FastNode(STRASSEN, (FastNode(STRASSEN, (mixed8,) * 7),) * 7),) * 7)
+    rand = random_plan(64, 0.7, seed=1)
+    a, b = _operands(15, (2, 64, 64))
+    want = matmul_pyint(a, b, DEFAULT_MODULUS)
+    for plan, levels in ((StandardLeaf(IT, 64), 0), (rand, 1), (tree, 4)):
+        assert _shallowest_leaf_depth(plan) == levels
+        out, trace = execute_stacked(plan, a, b)
+        assert out.shape == a.shape and out.flags.c_contiguous
+        assert np.array_equal(out, want)
+        assert _expand(trace) == _leaves_in_dfs_order(plan)
+
+
+def test_scheme_with_list_rows():
+    # FastScheme accepts coefficient rows as lists; a plan built on one runs
+    # as one built on tuples does
+    lists = FastScheme("strassen-lists", [list(r) for r in STRASSEN.encode_a],
+                       [list(r) for r in STRASSEN.encode_b], [list(r) for r in STRASSEN.decode])
+    leaf = StandardLeaf(IT, 2)
+    plan = FastNode(lists, (FastNode(lists, (leaf,) * 7),) * 7)
+    a, b = _operands(16, (3, 8, 8))
+    out, _ = execute_stacked(plan, a, b)
+    assert np.array_equal(out, matmul_pyint(a, b, DEFAULT_MODULUS))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridmm.ringmat import (DEFAULT_MODULUS, LIMB_MIN_INNER, Matrix, mat_add,
-                              mat_mul_naive, mat_sub, matmul_mod, matmul_pyint)
+from hybridmm.ringmat import (BLAS_MIN_INNER, DEFAULT_MODULUS, LIMB_MIN_INNER, Matrix,
+                              mat_add, mat_mul_naive, mat_sub, matmul_mod, matmul_pyint)
 
 P = DEFAULT_MODULUS
 
@@ -88,11 +88,10 @@ def test_matmul_mod_exactness_limits():
 
 
 @pytest.mark.parametrize("p", [P, 65537, 3])
-@pytest.mark.parametrize("k", [1, 2, LIMB_MIN_INNER - 1, LIMB_MIN_INNER,
-                               LIMB_MIN_INNER + 1, 64])
+@pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 64])
 def test_matmul_mod_matches_pyint_on_both_paths(k, p):
-    # the int64 path below LIMB_MIN_INNER, the limb path from there up;
-    # stacked non-square operands, uniform and all p-1
+    # stacked non-square operands, uniform and all p-1: the outer product at
+    # k = 1, int64 at k = 2, two float64 products from 15 to 64
     rng = np.random.default_rng(k)
     a = rng.integers(0, p, size=(2, 3, 5, k), dtype=np.int64)
     b = rng.integers(0, p, size=(2, 3, k, 4), dtype=np.int64)
@@ -118,7 +117,7 @@ def test_matmul_mod_inner_dimension_one():
                           matmul_pyint(x[:, :1, 1:], x[:, 1:, :1], P))
 
 
-@pytest.mark.parametrize("k", [LIMB_MIN_INNER // 2, LIMB_MIN_INNER, 32])
+@pytest.mark.parametrize("k", [8, 16, 32])
 def test_matmul_mod_on_quadrant_views(k):
     # the engine passes quadrants of a stacked operand: strided views
     rng = np.random.default_rng(k)
@@ -127,6 +126,40 @@ def test_matmul_mod_on_quadrant_views(k):
     for a, b in ((x[:, :k, k:], y[:, k:, :k]), (x[:, k:, k:], y[:, :k, :k])):
         assert not a.flags.c_contiguous
         assert np.array_equal(matmul_mod(a, b, P), matmul_pyint(a, b, P))
+
+
+def _strided(x):
+    # x as the bottom-right quadrant of a larger array, so that its rows
+    # (or, for one row, its stack entries) do not abut
+    r, c = x.shape[-2:]
+    big = np.zeros(x.shape[:-2] + (2 * r, 2 * c), dtype=np.int64)
+    big[..., r:, c:] = x
+    return big[..., r:, c:]
+
+
+@pytest.mark.parametrize("p", [3, 65537, P])
+@pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 65, 256])
+def test_matmul_mod_path_edges(k, p):
+    # a stack of 16 products of 8 x k by k x 8 and one 3 x k by k x 2
+    # product: the outer product at k = 1, int64 below BLAS_MIN_INNER, two
+    # float64 products from 8 to 64, four limbs from 65
+    assert (BLAS_MIN_INNER, LIMB_MIN_INNER) == (8, 65)
+    rng = np.random.default_rng([k, p])
+    for sa, sb in (((16, 8, k), (16, k, 8)), ((3, k), (k, 2))):
+        for a, b in ((rng.integers(0, p, size=sa, dtype=np.int64),
+                      rng.integers(0, p, size=sb, dtype=np.int64)),
+                     (np.full(sa, p - 1, dtype=np.int64), np.full(sb, p - 1, dtype=np.int64))):
+            want = matmul_pyint(a, b, p)
+            assert np.array_equal(matmul_mod(a, b, p), want)
+            assert np.array_equal(matmul_mod(_strided(a), _strided(b), p), want)
+
+
+def test_out_of_range_cast_is_an_error():
+    # pyproject.toml makes RuntimeWarning an error under pytest, so a float
+    # sum past the int64 range, cast back by the kernel, fails a test
+    # instead of returning garbage
+    with pytest.raises(RuntimeWarning, match="invalid value encountered in cast"):
+        np.array([2.0 ** 63]).astype(np.int64)
 
 
 def test_bilinearity():
