@@ -37,15 +37,19 @@ sweep --config FILE [--out FILE]
     ``plan`` is ``uniform``, ``random`` (uses ``p_fast``, in [0, 1], and
     the ``seed`` list), or ``file:PATH``, read once, whose plan's size
     must be one of the ``n``; ``commands`` lists ``bounds`` and
-    ``simulate`` (the default) or one of them.  Identical configs produce
-    byte-identical CSV.  Exits 1 if any measured I/O falls below its
-    bound.  Exits 2, before ``--out`` is opened, if ``simulate`` would
-    exceed ``MAX_SIMULATE_MOVES`` on a plan or a ``file:`` plan matches no
-    ``n``, and, before any plan is built, if an ``n`` or ``n0`` exceeds
-    ``2**MAX_PLAN_DEPTH`` or a random plan's expected node count exceeds
-    ``MAX_SWEEP_PLAN_NODES``; a refused sweep writes no file.
+    ``simulate`` (the default) or one of them.  Every simulated schedule is
+    also checked for parsimony, which adds no column.  Identical configs
+    produce byte-identical CSV.  Exits 1 if any measured I/O falls below
+    its bound or any schedule is not parsimonious, with a stderr line
+    naming each such row.  Exits 2, before ``--out`` is opened, if
+    ``simulate`` would exceed ``MAX_SIMULATE_MOVES`` on a plan or a
+    ``file:`` plan matches no ``n``, and, before any plan is built, if an
+    ``n`` or ``n0`` exceeds ``2**MAX_PLAN_DEPTH`` or a random plan's
+    expected node count exceeds ``MAX_SWEEP_PLAN_NODES``; a refused sweep
+    writes no file.
 
-Exit codes: 0 success, 1 verification/bound failure, 2 usage errors.
+Exit codes: 0 success, 1 verification failure, measured I/O below its
+bound or a schedule that is not parsimonious, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -236,11 +240,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# Generating, simulating and checking a schedule costs about 42 bytes a
-# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 212 MB peak
-# RSS; n=128, n0=1, M=12: 19,744,108 moves, 718 MB).  The schedule stores
+# Generating, simulating and checking a schedule costs about 25 bytes a
+# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 150 MB peak
+# RSS; n=128, n0=1, M=12: 19,744,108 moves, 474 MB).  The schedule stores
 # about 6 % of its moves, so most of that is the walks' maps of the words
-# written.  This many moves peak near 1.3 GB, under a fifth of a 7 GB
+# written.  This many moves peak near 0.8 GB, under an eighth of a 7 GB
 # machine.
 MAX_SIMULATE_MOVES = 30_000_000
 
@@ -412,9 +416,15 @@ def _sweep_plans(cfg) -> list:
     return plans
 
 
+def _row_name(row) -> str:
+    return " ".join(f"{k}={row[k]}" for k in ("plan", "n", "n0", "seed", "p_fast", "M", "B")
+                    if row[k] != "")
+
+
 def run_sweep(cfg, plans, out_fh) -> bool:
     """Write the CSV rows of ``plans`` (from ``_sweep_plans``); returns
-    False iff some measured I/O beat its bound."""
+    False iff some measured I/O beat its bound or some schedule is not
+    parsimonious, having named each such row on stderr."""
     ok = True
     out_fh.write(",".join(SWEEP_COLUMNS) + "\n")
     for meta, plan in plans:
@@ -444,6 +454,15 @@ def run_sweep(cfg, plans, out_fh) -> bool:
                     row["ratio"] = _fmt_num(ratio)
                     if ratio < 1.0:
                         ok = False
+                        print(f"sweep: {_row_name(row)}: measured I/O below bound "
+                              f"(artifact bug)", file=sys.stderr)
+                    violations = check_parsimonious(sched).violations
+                    if violations:
+                        ok = False
+                        step, reason = violations[0]
+                        print(f"sweep: {_row_name(row)}: {len(violations)} parsimony "
+                              f"violation(s), the first at step {step}: {reason}",
+                              file=sys.stderr)
                 out_fh.write(",".join(str(row[c]) for c in SWEEP_COLUMNS) + "\n")
     return ok
 
@@ -459,10 +478,7 @@ def cmd_sweep(args) -> int:
     # a refused sweep writes no file: --out is opened once every plan passed
     with (open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)) as fh:
         ok = run_sweep(cfg, plans, fh)
-    if not ok:
-        print("sweep: measured I/O below bound (artifact bug)", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ current copy in slow memory, which is how spilled temporaries stay
 parsimonious).  A read value written back unused is reported once, at the
 write-back.
 
-Each of the two is one walker over a list of moves and records.  On the
-first record of a template, it walks the template's body once, from an
+Each of the two is one walker over a list of moves and records.  It first
+counts each template's records in the expansion.  A template with one
+record, such as the whole problem of a generated schedule, is walked in
+place, move by move, at the record's addresses.  For a template with two
+or more, at the first record it walks the template's body once, from an
 empty cache, and keeps a summary of what the body does to the memory
 around it: its counts and peak, its first internal fault, the slow words
 it reads before writing them, the words it leaves written, and its
@@ -129,20 +132,24 @@ class Template:
     record with ``bases`` moves an address in segment k by ``bases[k] - lo``
     and leaves an address outside every segment as it is.
 
-    A summary of the body, walked at these addresses, stands for a record
-    only if the record moves nothing, or moving the addresses keeps every
-    word the body uses apart from every other (``summarizable``).  A
-    generated body qualifies; a hand-edited one may not, and its records are
-    walked move by move.
+    ``nested`` holds the template of each record in the body, in order.
+    The walkers summarize a template only if the expansion holds two or
+    more records of it; a summary of the body, walked at these addresses,
+    stands for a record only if the record moves nothing, or moving the
+    addresses keeps every word the body uses apart from every other
+    (``summarizable``).  A generated body qualifies; a hand-edited one may
+    not, and its records are walked move by move.
     """
 
-    __slots__ = ("body", "segments", "lows", "length", "_bounds", "_order", "_contained")
+    __slots__ = ("body", "segments", "lows", "nested", "length", "_bounds", "_order",
+                 "_contained")
 
     def __init__(self, body, segments):
         self.body = body
         self.segments = segments
         self.lows = tuple(lo for lo, _ in segments)
-        self.length = len(body) + sum(e[1].length - 1 for e in body if e[0] == MV_REC)
+        self.nested = [e[1] for e in body if e[0] == MV_REC]
+        self.length = len(body) + sum(t.length - 1 for t in self.nested)
         live = sorted((lo, hi, k) for k, (lo, hi) in enumerate(segments) if lo < hi)
         self._bounds = [x for lo, hi, _ in live for x in (lo, hi)]
         if self._bounds != sorted(self._bounds):
@@ -238,6 +245,31 @@ def _moved_body(template, bases):
         else:
             a = mv[1]
             yield (tag, a + sh[bisect_right(bounds, a)], mv[2])
+
+
+def _record_counts(entries):
+    """How many records of each template the expansion of ``entries`` holds,
+    in time linear in the records the distinct templates store."""
+    top = [e[1] for e in entries if e[0] == MV_REC]
+    counts = {}
+    order = []  # each template after every template it records
+
+    def visit(t):
+        counts[t] = 0
+        for u in t.nested:
+            if u not in counts:
+                visit(u)
+        order.append(t)
+
+    for t in top:
+        if t not in counts:
+            visit(t)
+        counts[t] += 1
+    for t in reversed(order):
+        c = counts[t]
+        for u in t.nested:
+            counts[u] += c
+    return counts
 
 
 def _expand(entries):
@@ -338,10 +370,12 @@ def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
     each word of a read, then the occupancy; for a compute, ``x``, then
     ``y`` and the opcode, then the occupancy.
     """
-    walk = _SimWalk(cfg.M, cfg.B, set(schedule.layout.input_range()), {}, closed=True)
+    entries = schedule.moves.entries
+    walk = _SimWalk(cfg.M, cfg.B, set(schedule.layout.input_range()), {},
+                    _record_counts(entries), closed=True)
     fault = None
     try:
-        walk.walk(schedule.moves.entries, 0)
+        walk.walk(entries, 0)
     except _Fault as exc:
         fault = exc
     # the walk reads on past an undefined word, so it is the first fault
@@ -372,12 +406,14 @@ class _SimWalk:
     memory, the cache, the counts, and ``inputs``, each ``(addr, step)`` of a
     first read of a word not known defined, in the order met, and
     ``nested_inputs``, the words its records read that it had not defined.
+    ``counts`` holds each template's records in the schedule's expansion;
+    a template with one record is walked in place, with no summary.
 
     A walk of the whole schedule is ``closed``: it knows every defined word,
     so an input it meets is undefined, and it walks a record that reads one
     move by move, which finds the first such read in order."""
 
-    def __init__(self, m_cap, b_cap, slow, summaries, closed=False):
+    def __init__(self, m_cap, b_cap, slow, summaries, counts, closed=False):
         self.m_cap, self.b_cap = m_cap, b_cap
         self.slow = slow
         self.closed = closed
@@ -386,11 +422,12 @@ class _SimWalk:
         self.inputs = []
         self.nested_inputs = []
         self.summaries = summaries  # template -> _SimSummary, for one cfg
+        self.counts = counts
 
     def summary(self, template):
         s = self.summaries.get(template)
         if s is None:
-            body = _SimWalk(self.m_cap, self.b_cap, set(), self.summaries)
+            body = _SimWalk(self.m_cap, self.b_cap, set(), self.summaries, self.counts)
             fault = None
             try:
                 body.walk(template.body, 0)
@@ -472,7 +509,9 @@ class _SimWalk:
                 writes += 1
             else:  # MV_REC
                 _, template, bases = mv
-                s = self.summary(template) if not used and template.summarizable(bases) else None
+                s = (self.summary(template)
+                     if not used and self.counts[template] > 1 and template.summarizable(bases)
+                     else None)
                 sh = missing = None
                 if s is not None and s.usable:
                     sh = template.shifts(bases)
@@ -561,8 +600,9 @@ def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
     cache is ignored, and a read of an undefined word brings in a value
     that nothing computed.
     """
-    walk = _ParsimonyWalk(bytearray(), {}, closed=True)
-    walk.walk(schedule.moves.entries, 0)
+    entries = schedule.moves.entries
+    walk = _ParsimonyWalk(bytearray(), {}, _record_counts(entries), closed=True)
+    walk.walk(entries, 0)
     # values abandoned in cache when the schedule ends are discarded values
     walk.drop_cached(len(schedule.moves))
     layout = schedule.layout
@@ -580,12 +620,14 @@ class _ParsimonyWalk:
     ``(step, code, addr)`` in the order met; and ``pending``, the words it
     writes over a value from outside it that it has not consumed, which is a
     violation if that value was computed and never consumed before.
+    ``counts`` holds each template's records in the schedule's expansion;
+    a template with one record is walked in place, with no summary.
 
     A walk of the whole schedule is ``closed``: the values from outside it
     are the inputs, which nothing computed, so its pending writes are
     never violations."""
 
-    def __init__(self, flags, summaries, closed=False):
+    def __init__(self, flags, summaries, counts, closed=False):
         self.flags = flags  # value -> flags, for every walk of one check
         self.closed = closed
         self.slow = {}
@@ -594,11 +636,12 @@ class _ParsimonyWalk:
         self.found = []
         self.pending = []
         self.summaries = summaries  # template -> _ParsimonySummary
+        self.counts = counts
 
     def summary(self, template):
         s = self.summaries.get(template)
         if s is None:
-            body = _ParsimonyWalk(self.flags, self.summaries)
+            body = _ParsimonyWalk(self.flags, self.summaries, self.counts)
             body.walk(template.body, 0)
             s = self.summaries[template] = _ParsimonySummary(template, body)
         return s
@@ -691,7 +734,8 @@ class _ParsimonyWalk:
                     slow[a] = v
             else:  # MV_REC
                 _, template, bases = mv
-                s = (self.summary(template) if not cache and template.summarizable(bases)
+                s = (self.summary(template)
+                     if not cache and self.counts[template] > 1 and template.summarizable(bases)
                      else None)
                 if (s is None or not s.usable
                         or not self.apply(s, template.shifts(bases), step + shift)):

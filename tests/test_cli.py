@@ -11,7 +11,7 @@ import pytest
 from hybridmm import cli
 from hybridmm.cdag import build_cdag
 from hybridmm.cli import ConfigError, main, parse_sweep_config
-from hybridmm.pebble import MachineConfig, dump_schedule, simulate
+from hybridmm.pebble import MachineConfig, ParsimonyReport, dump_schedule, simulate
 from hybridmm.plans import (MAX_PLAN_DEPTH, STRASSEN, WINOGRAD, random_plan, serialize_plan,
                             uniform_plan)
 from hybridmm.schedules import gen_hybrid_schedule
@@ -389,6 +389,32 @@ def test_sweep_deterministic(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_fails_on_a_parsimony_violation(tmp_path, monkeypatch, capsys):
+    # every simulated row is checked; a violation exits 1 and names its row,
+    # and the CSV is the one a clean sweep writes
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("plan=random\nn=8,16\nseed=1\np_fast=0.6\nM=12\nB=1,4\n")
+    clean, flagged = tmp_path / "clean.csv", tmp_path / "flagged.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == 0
+    assert capsys.readouterr().err == ""
+    checked = []
+
+    def check(sched):
+        checked.append(sched)
+        report = ParsimonyReport()
+        if len(checked) == 3:
+            report.violations.append((5, "value read into cache at 3 evicted/overwritten unused"))
+        return report
+
+    monkeypatch.setattr(cli, "check_parsimonious", check)
+    assert main(["sweep", "--config", str(cfg), "--out", str(flagged)]) == 1
+    assert len(checked) == 4
+    assert flagged.read_bytes() == clean.read_bytes()
+    assert capsys.readouterr().err == (
+        "sweep: plan=random n=16 seed=1 p_fast=0.6 M=12 B=1: 1 parsimony violation(s), "
+        "the first at step 5: value read into cache at 3 evicted/overwritten unused\n")
 
 
 def test_sweep_ratios_at_least_one(tmp_path):

@@ -10,6 +10,7 @@ from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_REC, MV_W, OP_ADD, OP_CPY, OP_
                              OP_NEG, OP_SUB, IoStats, MachineConfig, MemoryLayout, Moves,
                              Schedule, ScheduleError, Template, check_parsimonious,
                              dump_schedule, parse_schedule, replay_values, simulate)
+from hybridmm import pebble
 from hybridmm.ringmat import Matrix, mat_mul_naive
 from hybridmm.plans import WINOGRAD, uniform_plan
 from hybridmm.schedules import gen_hybrid_schedule, gen_standard_blocked_schedule
@@ -320,11 +321,35 @@ _SPILL_12 = [(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_W, 12, 1), (MV_E, 12),
     (_SPILL_12 + [_record(_READS_A, 12, 4, 13, 14), _record(_READS_A, 20, 4, 21, 22)],
      ("UNDEFINED_READ", 7, "UNDEFINED_READ at step 7: address 20 undefined in slow memory"),
      None),
+    # twins of the first seven cases, whose template has a single record and
+    # so is walked in place: a second record of it at fresh words makes the
+    # first one apply a summary
+    (_SPILL_12 + [_record(_USES_A, 12, 4, 13, 14), (MV_R, 1, 1), (MV_C, 12, OP_CPY, 1, -1),
+                  (MV_W, 12, 1), (MV_E, 12), (MV_E, 1), _record(_USES_A, 2, 5, 16, 17)],
+     IoStats(6, 4, 3, 4), []),
+    ([_record(_USES_A, 0, 4, 13, 14), (MV_R, 1, 1), (MV_C, 13, OP_CPY, 1, -1),
+      (MV_W, 13, 1), (MV_E, 13), (MV_E, 1), _record(_USES_A, 2, 5, 16, 17)],
+     IoStats(5, 3, 3, 3), [(9, "computed value at 13 overwritten in slow memory unused")]),
+    (_SPILL_12 + [_record(_OVERWRITES_A, 12, 4, 13, 14), _record(_OVERWRITES_A, 16, 5, 17, 18)],
+     IoStats(3, 3, 2, 3), [(7, "computed value at 12 overwritten in slow memory unused")]),
+    (_SPILL_12[:3] + [(MV_C, 13, OP_CPY, 12, -1), (MV_W, 13, 1), (MV_E, 13)] + _SPILL_12[3:]
+     + [_record(_OVERWRITES_A, 12, 4, 14, 15), _record(_OVERWRITES_A, 16, 5, 17, 18)],
+     IoStats(3, 4, 3, 4), []),
+    ([_record(_OVERWRITES_A, 0, 4, 13, 14), _record(_OVERWRITES_A, 1, 5, 16, 17)],
+     IoStats(2, 2, 2, 2), []),
+    ([(MV_R, 0, 1), (MV_C, 8, OP_CPY, 0, -1), (MV_W, 8, 1), (MV_E, 8), (MV_E, 0),
+      _record(_OVERWRITES_A, 8, 4, 13, 14), _record(_OVERWRITES_A, 9, 5, 16, 17)],
+     IoStats(3, 3, 2, 3), []),
+    ([(MV_R, 0, 1), (MV_C, 16, OP_CPY, 0, -1), (MV_W, 16, 1), (MV_E, 16), (MV_E, 0),
+      _record(_WRAPS, 16, 4, 17, 18), _record(_WRAPS, 20, 6, 21, 22)],
+     IoStats(5, 5, 2, 5), [(12, "computed value at 16 overwritten in slow memory unused")]),
 ], ids=["consumed-inside", "written-inside", "overwrites-unused", "overwrites-used",
         "overwrites-input", "overwrites-output", "nested-overwrites", "overwrites-through",
         "stray-word", "segments-overlap", "run-across-segments", "fault-moved",
-        "ends-cached", "undefined-moved"])
-def test_records_match_their_expansion(entries, outcome, violations):
+        "ends-cached", "undefined-moved", "consumed-inside-twice", "written-inside-twice",
+        "overwrites-unused-twice", "overwrites-used-twice", "overwrites-input-twice",
+        "overwrites-output-twice", "overwrites-through-twice"])
+def test_records_match_their_expansion(entries, outcome, violations, summary_spy):
     sched = Schedule(Moves(entries), MemoryLayout(2))
     flat = Schedule(list(sched.moves), sched.layout)
     walks = []
@@ -338,6 +363,59 @@ def test_records_match_their_expansion(entries, outcome, violations):
     assert walks[0][0] == outcome
     if violations is not None:
         assert walks[0][1] == violations
+    # each walker summarizes some template when one has two or more records,
+    # never one with a single record, and each at most once
+    repeated = {t for t, uses in _records(entries).items() if uses > 1}
+    for got in summary_spy.values():
+        assert set(got) <= repeated and bool(got) == bool(repeated)
+        assert all(len(ids) == 1 for ids in got.values())
+
+
+def _records(entries):
+    """How many records of each template the expansion of ``entries`` holds."""
+    found = Counter()
+    for e in entries:
+        if e[0] == MV_REC:
+            found[e[1]] += 1
+            found += _records(e[1].body)
+    return found
+
+
+@pytest.mark.parametrize("entries,outcome,violations", [
+    # a record and its nested record, each the only one of its template,
+    # overwrite a computed value never used at their moved addresses
+    ([(MV_R, 0, 1), (MV_C, 20, OP_CPY, 0, -1), (MV_W, 20, 1), (MV_E, 20), (MV_E, 0),
+      _record(_WRAPS, 20, 6, 21, 22)],
+     IoStats(3, 3, 2, 3), [(12, "computed value at 20 overwritten in slow memory unused")]),
+    ([_record(_NEEDS_CACHED_A, 1, 5, 14, 15)],
+     ("ILLEGAL_OPERAND", 1, "ILLEGAL_OPERAND at step 1: operand 1 not in cache"), []),
+], ids=["overwrites-moved", "fault-moved"])
+def test_single_record_walked_in_place_at_moved_bases(monkeypatch, summary_spy, entries,
+                                                      outcome, violations):
+    moved = []
+    real_entries_at = pebble._entries_at
+
+    def entries_at(template, bases):
+        moved.append(bases != template.lows)
+        return real_entries_at(template, bases)
+
+    monkeypatch.setattr(pebble, "_entries_at", entries_at)
+    sched = Schedule(Moves(entries), MemoryLayout(2))
+    try:
+        stats = simulate(sched, MachineConfig(3, 2))
+    except ScheduleError as exc:
+        stats = (exc.kind, exc.step, str(exc))
+    found = check_parsimonious(sched).violations
+    assert moved and all(moved)
+    assert not any(summary_spy.values())
+    assert (stats, found) == (outcome, violations)
+    flat = Schedule(list(sched.moves), sched.layout)
+    assert check_parsimonious(flat).violations == violations
+    if isinstance(outcome, IoStats):
+        assert simulate(flat, MachineConfig(3, 2)) == outcome
+    else:
+        with pytest.raises(ScheduleError, match=re.escape(outcome[2])):
+            simulate(flat, MachineConfig(3, 2))
 
 
 def _one_move_mutants(moves, rng, count):

@@ -429,7 +429,7 @@ def _templates(entries):
 
 def _edit_template(sched, target, body):
     """``sched`` with ``target``'s body replaced by ``body``, so that every
-    record of it replays the edit."""
+    record of it replays the edit, and the edited template."""
     new = {}
 
     def rebuilt(entries):
@@ -440,13 +440,14 @@ def _edit_template(sched, target, body):
             new[t] = Template(body if t is target else rebuilt(t.body), t.segments)
         return new[t]
 
-    return Schedule(Moves(rebuilt(sched.moves.entries)), sched.layout)
+    return Schedule(Moves(rebuilt(sched.moves.entries)), sched.layout), new[target]
 
 
 def _template_mutants(sched, rng, count):
-    """Schedules that drop, duplicate, swap or re-address one move in the
-    body of a template recorded more than once; one edit in five drops an
-    eviction, which leaves a word cached when the body ends."""
+    """Schedules, each with its edited template, that drop, duplicate, swap
+    or re-address one move in the body of a template recorded more than
+    once; one edit in five drops an eviction, which leaves a word cached
+    when the body ends."""
     templates = [t for t, uses in _templates(sched.moves.entries).items() if uses > 1]
     for _ in range(count):
         t = rng.choice(templates)
@@ -472,8 +473,10 @@ def _template_mutants(sched, rng, count):
 
 
 def test_template_mutants_record_walk_matches_flat_walk(monkeypatch):
-    # the walkers take a record move by move when no summary can stand for
-    # it, as when its body ends with a word cached; count how often they do
+    # the walkers take a record of a repeated template move by move when no
+    # summary can stand for it, as when its body ends with a word cached;
+    # count how often they do so with an edited template (a template with a
+    # single record, such as the root, is always walked in place)
     moved = []
     real_entries_at = pebble._entries_at
 
@@ -484,11 +487,12 @@ def test_template_mutants_record_walk_matches_flat_walk(monkeypatch):
     rng = random.Random(2026)
     cases = [(uniform_plan(8, 1), 3, 1), (uniform_plan(8, 2, WINOGRAD), 5, 2),
              (uniform_plan(8, 1), 12, 1)]
-    legal = faults = violations = 0
+    legal = faults = violations = in_place = 0
     for plan, m, b in cases:
         machines = _tighter(m, b)[:2]
         sched = gen_hybrid_schedule(plan, MachineConfig(m, b))
-        for mutant in _template_mutants(sched, rng, 100):
+        for mutant, edited in _template_mutants(sched, rng, 100):
+            assert _templates(mutant.moves.entries)[edited] > 1
             monkeypatch.setattr(pebble, "_entries_at", entries_at)
             walks = _walks(mutant, machines)
             monkeypatch.undo()
@@ -496,8 +500,53 @@ def test_template_mutants_record_walk_matches_flat_walk(monkeypatch):
             legal += isinstance(walks[0][0], IoStats)
             faults += not isinstance(walks[0][0], IoStats)
             violations += bool(walks[1])
+            in_place += moved.count(edited)
+            moved.clear()
     assert legal and faults and violations
-    assert moved
+    assert in_place
+
+
+@pytest.mark.parametrize("plan,m,b", [
+    (uniform_plan(16, 1), 3, 1),
+    (random_plan(16, 0.7, seed=1), 12, 1),
+], ids=["uniform-n16-n0_1-M3", "random-n16-p0.7-M12"])
+def test_walkers_summarize_only_repeated_templates(summary_spy, plan, m, b):
+    # each walk summarizes every template the expansion records twice or
+    # more, each exactly once, and none that it records once
+    cfg = MachineConfig(m, b)
+    sched = gen_hybrid_schedule(plan, cfg)
+    uses = _templates(sched.moves.entries)
+    assert pebble._record_counts(sched.moves.entries) == uses
+    repeated = {t for t, k in uses.items() if k > 1}
+    assert repeated and len(repeated) < len(uses)
+    for walk, name in ((lambda: simulate(sched, cfg), "simulate"),
+                       (lambda: check_parsimonious(sched), "check_parsimonious")):
+        for _ in range(2):
+            walk()
+            got = summary_spy[name]
+            assert set(got) == repeated
+            assert all(len(ids) == 1 for ids in got.values())
+            got.clear()
+
+
+def test_record_walk_matches_flat_walk_on_random_plans(summary_spy):
+    # 120 random plans and machines, each also walked on two tighter
+    # machines; the templates with a single record are walked in place
+    single = 0
+    for n in (8, 16):
+        for p_fast in (0.3, 0.6, 0.9):
+            for seed in range(4):
+                plan = random_plan(n, p_fast, seed=seed)
+                for m, b in ((3, 1), (5, 2), (12, 1), (12, 4), (48, 1)):
+                    sched = gen_hybrid_schedule(plan, MachineConfig(m, b))
+                    walks = _walks(sched, _tighter(m, b))
+                    assert walks == _walks(_flat(sched), _tighter(m, b)), (n, p_fast, seed, m, b)
+                    uses = _templates(sched.moves.entries)
+                    single += sum(k == 1 for k in uses.values())
+                    for got in summary_spy.values():
+                        assert all(uses[t] > 1 for t in got)
+                        got.clear()
+    assert single
 
 
 def test_incache_search_steps_bounded(monkeypatch):
