@@ -56,6 +56,13 @@ def _vs_threshold(size: int, m: int, threshold: Optional[float]) -> int:
     return (d > 0) - (d < 0)
 
 
+def _check_threshold(threshold: Optional[float]):
+    """Raise ValueError unless ``threshold`` is None or a positive finite
+    size: at nan every comparison reads as a tie, and no MSP is found."""
+    if threshold is not None and not 0 < threshold < math.inf:
+        raise ValueError(f"MSP threshold must be positive and finite, got {threshold}")
+
+
 def _msp_type(node: RecursionPlan, m: int, threshold: Optional[float]):
     """How a node whose ancestors are all fast enters the MSPs: 1 or 2 if it
     is an MSP of that type, 0 if its children must be classified instead,
@@ -74,6 +81,7 @@ def enumerate_msps(plan: RecursionPlan, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_threshold(threshold)
     if _vs_threshold(plan.size, m, threshold) <= 0:
         return []
 
@@ -93,6 +101,7 @@ def enumerate_msps(plan: RecursionPlan, m: int,
 
 def _count_msps(plan: RecursionPlan, m: int, threshold: Optional[float] = None):
     """(nu1, nu2, |T|) of ``enumerate_msps``, walking a shared subtree once."""
+    _check_threshold(threshold)
     if _vs_threshold(plan.size, m, threshold) <= 0:
         return 0, 0, 0
     memo = {}

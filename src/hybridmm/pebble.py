@@ -885,9 +885,9 @@ def dump_schedule(schedule: Schedule) -> str:
 
 
 def parse_schedule(text: str, layout: MemoryLayout) -> Schedule:
-    """Read ``dump_schedule``'s text form; a line that is not a move, or a
-    compute with the wrong number of operands for its opcode, raises
-    ``ValueError``."""
+    """Read ``dump_schedule``'s text form; a line that is not a move, a move
+    with extra tokens, or a compute with the wrong number of operands for its
+    opcode, raises ``ValueError``."""
     moves = []
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
@@ -895,10 +895,8 @@ def parse_schedule(text: str, layout: MemoryLayout) -> Schedule:
             continue
         tag = parts[0]
         try:
-            if tag == "R":
-                moves.append((MV_R, int(parts[1]), int(parts[2])))
-            elif tag == "W":
-                moves.append((MV_W, int(parts[1]), int(parts[2])))
+            if tag in ("R", "W") and len(parts) == 3:
+                moves.append((MV_R if tag == "R" else MV_W, int(parts[1]), int(parts[2])))
             elif tag == "C":
                 op = _OP_CODES[parts[2]]
                 binary = op <= OP_SUB
@@ -906,7 +904,7 @@ def parse_schedule(text: str, layout: MemoryLayout) -> Schedule:
                 if len(parts) != (5 if binary else 4) or y < 0 and binary:
                     raise ValueError("operands do not match the opcode")
                 moves.append((MV_C, int(parts[1]), op, int(parts[3]), y))
-            elif tag == "E":
+            elif tag == "E" and len(parts) == 2:
                 moves.append((MV_E, int(parts[1])))
             else:
                 raise KeyError(tag)

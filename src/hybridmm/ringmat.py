@@ -7,18 +7,14 @@ tolerance to pick.
 Matrices are square, row-major, immutable, and backed by int64 numpy arrays.
 ``matmul_mod`` returns the exact product mod p for moduli below 2**31 and
 inner dimensions k up to 2**16, and raises ValueError outside those limits.
-It has four exact paths.  At k = 1 (the 1x1 leaves of a plan cut off at
-n0 = 1) each entry is a single product below 2**62, taken in int64 and
-reduced once.  Up to k = 64 it splits b into 16-bit halves and takes two
-products, ``a @ hi`` and ``a @ lo``: every term is below 2**47, so every
-sum is below 2**53.  They run in float64 BLAS, which holds such sums
-exactly, from k = ``BLAS_MIN_INNER`` = 8, and in int64 below it.  From
-k = ``LIMB_MIN_INNER`` = 65 it splits both factors into 16-bit limbs and
-runs four float64 products through BLAS, as the FFLAS library does: each
-partial sum is an integer below k * 2**32, under 2**53 up to k = 2**21.
-The products are recombined mod p in int64 and reduced by a division by
-the modulus, which numpy does as a multiply and a shift, instead of its
-slower ``%``.
+At k = 1 (the 1x1 leaves of a plan cut off at n0 = 1) each entry is a
+single product below 2**62, taken in int64 and reduced once.  Every other
+product follows one rule, after the FFLAS library's limbs: b is cut into as
+many limbs as k needs for each ``a @ limb`` to stay below 2**53, where
+float64 is exact, and the limb products are combined by Horner's rule in
+int64.  They run in float64 BLAS from k = ``BLAS_MIN_INNER`` = 8 and in
+int64 below it.  Every reduction is a division by the modulus, which numpy
+does as a multiply and a shift, instead of its slower ``%``.
 """
 
 from __future__ import annotations
@@ -119,29 +115,17 @@ def _check_exact(modulus: int, inner: int):
         raise ValueError(f"inner dimension {inner} exceeds 2**16; int64 sums would overflow")
 
 
-# matmul_mod's paths: the two products run in float64 BLAS from an inner
-# dimension of BLAS_MIN_INNER up, in int64 below it; four limbs from
-# LIMB_MIN_INNER up, where two products are no longer exact.  Microseconds
-# per call, int64 / two float64 products / four limbs, each path forced, on
-# a 2-core x86-64 machine shared with other jobs (numpy 2.4, OpenBLAS on 2
-# threads), for one k x k product / a stack of 7 / a stack of 49:
-#   inner  8:  18.3 / 22.4 / 35.0    29.4 / 29.0 / 46.4     102 / 63.4 / 95.1
-#   inner 16:  28.5 / 29.2 / 44.9    94.6 / 48.1 / 71.7     532 /  330 /  455
-#   inner 32:  95.1 / 39.9 / 60.2     525 /  106 /  160    4092 / 1551 / 2111
-#   inner 64:   569 / 81.2 /  129    3966 /  935 / 1307   19220 / 7051 / 10065
+# matmul_mod's limb products run in float64 BLAS from an inner dimension of
+# BLAS_MIN_INNER up and in int64 below it.  Microseconds per call, int64 /
+# float64, the dtype forced, on a 2-core x86-64 machine shared with other
+# jobs (numpy 2.4, OpenBLAS on 2 threads), for one k x k product / a stack
+# of 7 / a stack of 49:
+#   inner  4:  21.2 / 26.4    23.5 / 28.6    40.4 / 44.2
+#   inner  8:  22.8 / 26.5    35.6 / 33.7     120 / 69.3
+#   inner 16:  34.8 / 30.6     115 / 50.0     672 /  180
 # A single product at inner 8 pays a few microseconds more on BLAS than in
 # int64; a stack of 7 breaks even.
 BLAS_MIN_INNER = 8
-LIMB_MIN_INNER = 65
-
-
-def _limbs(x: np.ndarray):
-    """(hi, lo) float64 arrays with x = hi * 2**16 + lo, for 0 <= x < 2**31."""
-    hi = np.empty(x.shape)
-    lo = np.empty(x.shape)
-    np.right_shift(x, 16, out=hi)
-    np.bitwise_and(x, 0xFFFF, out=lo)
-    return hi, lo
 
 
 def _reduce(x: np.ndarray, modulus: int) -> np.ndarray:
@@ -164,58 +148,37 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact stacked matmul of int64 arrays with entries in [0, p).
 
     At inner dimension 1 the product is a broadcast elementwise product and
-    one reduction.
-    Below an inner dimension of ``LIMB_MIN_INNER`` (k <= 64) b is split into
-    16-bit halves, ``b = hi * 2**16 + lo``, and ``a @ hi`` and ``a @ lo``
-    are taken: each term is below 2**31 * 2**16 = 2**47, so each sum is
-    below 2**53, which float64 holds exactly.  The two products run in
-    float64 BLAS from an inner dimension of ``BLAS_MIN_INNER`` up, in int64
-    below it, and are recombined as ``((S_hi mod p) << 16) + S_lo``, below
-    2**54, and reduced.
-    From ``LIMB_MIN_INNER`` up, a is split as well, and the four limb
-    products run as float64 BLAS matmuls.  For inner dimension k each
-    partial sum is an integer below k * 2**32, under 2**53 for k up to
-    2**21.  They are recombined mod p in int64 in base 2**16:
-    ``(S_hh << 16) + S_hl + S_lh`` stays below 2**62 + 2**48 for k up to
-    2**16, and after one reduction ``(t << 16) + S_ll`` below 2**49.
-    Every path is exact for p < 2**31 and inner dimensions up to 2**16;
-    outside those limits it raises ValueError.
+    one reduction.  Otherwise b is cut into limbs of w = min(16, 22 -
+    ceil(log2 k)) bits, most significant first, and the product is
+    ``sum_i (a @ limb_i) * 2**(w*i)``, taken by Horner's rule: ``acc =
+    (acc mod p) << w; acc += a @ limb``, reduced once more at the end.
+    Each limb product sums k terms below 2**31 * 2**w, so every sum is
+    below k * 2**(31 + w) <= 2**53, which float64 holds exactly; ``(acc mod
+    p) << w`` is below 2**47, so ``acc`` stays below 2**54.  That is two
+    limbs up to k = 64, three up to 2048 and six at 2**16.  The limb
+    products run in float64 BLAS from an inner dimension of
+    ``BLAS_MIN_INNER`` up and in int64 below it.  The kernel is exact for
+    p < 2**31 and inner dimensions up to 2**16; outside those limits it
+    raises ValueError.
     """
     k = a.shape[-1]
     _check_exact(modulus, k)
     if k == 1 and a.ndim > 1 and b.ndim > 1:
         # an outer product: each entry is one product below 2**62
         return a * b % modulus
-    if k < LIMB_MIN_INNER:
-        if k < BLAS_MIN_INNER:
-            hi = np.matmul(a, b >> 16)
-            lo = np.matmul(a, b & 0xFFFF)
-        else:
-            b_hi, b_lo = _limbs(b)
-            a = a.astype(np.float64)
-            hi = np.matmul(a, b_hi).astype(np.int64)
-            del b_hi
-            lo = np.matmul(a, b_lo).astype(np.int64)
-        hi = _reduce(hi, modulus)
-        hi <<= 16
-        hi += lo
-        return _reduce(hi, modulus)
-    a_hi, a_lo = _limbs(a)
-    b_hi, b_lo = _limbs(b)
-    t = np.matmul(a_hi, b_hi).astype(np.int64)
-    t <<= 16
-    # each limb is dropped after its last product: for square operands at
-    # most six arrays of the output's size are alive at once
-    mid = np.matmul(a_hi, b_lo)
-    del a_hi
-    mid += np.matmul(a_lo, b_hi)
-    del b_hi
-    t += mid.astype(np.int64)
-    del mid
-    t = _reduce(t, modulus)
-    t <<= 16
-    t += np.matmul(a_lo, b_lo).astype(np.int64)
-    return _reduce(t, modulus)
+    w = min(16, 22 - (k - 1).bit_length())
+    top = 30 // w * w  # the shift of the most significant limb
+    dtype = np.float64 if k >= BLAS_MIN_INNER else np.int64
+    a = a.astype(dtype, copy=False)
+    # one limb is alive at a time, built in place; the top one needs no mask
+    limb = np.right_shift(b, top, out=np.empty(b.shape, dtype))
+    acc = np.matmul(a, limb).astype(np.int64, copy=False)
+    for shift in range(top - w, -1, -w):
+        np.bitwise_and(b >> shift if shift else b, (1 << w) - 1, out=limb)
+        acc = _reduce(acc, modulus)
+        acc <<= w
+        acc += np.matmul(a, limb).astype(np.int64, copy=False)
+    return _reduce(acc, modulus)
 
 
 def matmul_pyint(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:

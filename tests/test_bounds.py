@@ -139,6 +139,13 @@ def test_custom_threshold_knob():
     msps = enumerate_msps(plan, 4, threshold=8.0)
     assert all(d.msp_type == 2 and d.n_i == 8 for d in msps)
     assert len(msps) == 7
+    # at nan every size would tie with the threshold and no MSP be found
+    for bad in (math.nan, math.inf, 0, -5.0):
+        for call in (lambda: enumerate_msps(plan, 4, bad),
+                     lambda: sequential_bound(plan, 16, 4, 1, bad),
+                     lambda: parallel_bound(plan, 16, 4, 1, 7, bad)):
+            with pytest.raises(ValueError, match="MSP threshold"):
+                call()
 
 
 def test_sequential_bound_16_8():

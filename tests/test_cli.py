@@ -11,7 +11,7 @@ import pytest
 from hybridmm import cli
 from hybridmm.cdag import build_cdag
 from hybridmm.cli import ConfigError, main, parse_sweep_config
-from hybridmm.pebble import MachineConfig, ParsimonyReport, dump_schedule, simulate
+from hybridmm.pebble import IoStats, MachineConfig, ParsimonyReport, dump_schedule, simulate
 from hybridmm.plans import (MAX_PLAN_DEPTH, STRASSEN, WINOGRAD, random_plan, serialize_plan,
                             uniform_plan)
 from hybridmm.schedules import gen_hybrid_schedule
@@ -68,11 +68,18 @@ def test_entry_points():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "verify: PASS" in proc.stdout
+
+
+def test_console_script(capsys):
+    # the ``hybridmm`` script that an install puts on PATH calls this target
     tomllib = pytest.importorskip("tomllib")
-    with open(root / "pyproject.toml", "rb") as fh:
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["hybridmm"]
     module, _, attr = target.partition(":")
-    assert getattr(importlib.import_module(module), attr) is main
+    script = getattr(importlib.import_module(module), attr)
+    assert script is main
+    assert script(["verify", "--max-vertices", "0"]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
 
 
 def test_verify_skips_dominator_checks(capsys):
@@ -154,13 +161,18 @@ def test_verify_max_vertices_skips_each_plan(capsys):
     {"decode": [[1, 0, 0, 0, 0, 0]] * 4},
     {"encode_b": [[1, 0, 0, 2]] * 7},
     {"encode_a": None},
+    None,  # the file holds [], not an object
 ])
 def test_verify_malformed_scheme_exits_2(tmp_path, capsys, change):
     scheme = {"id": "bad", "encode_a": [[1, 0, 0, 0]] * 7,
               "encode_b": [[1, 0, 0, 0]] * 7, "decode": [[1, 0, 0, 0, 0, 0, 0]] * 4}
-    scheme.update(change)
+    if change is None:
+        scheme = []
+    else:
+        scheme.update(change)
+        scheme = {k: v for k, v in scheme.items() if v is not None}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({k: v for k, v in scheme.items() if v is not None}))
+    path.write_text(json.dumps(scheme))
     assert main(["verify", "--scheme-file", str(path), "--max-vertices", "0"]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -186,6 +198,15 @@ def test_bounds_msp_threshold(plan_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert (data["nu1"], data["nu2"], data["t_total"]) == (0, 1, 0)
     assert data["term_nu2"] == 4
+    # a threshold that is not a positive finite size is refused, not read
+    # as a plan without MSPs
+    for bad in ("nan", "inf", "0", "-5"):
+        for extra in ([], ["--P", "7"]):
+            assert main(["bounds", "--plan", plan_file, "--M", "4",
+                         "--msp-threshold", bad] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "MSP threshold must be positive and finite" in captured.err
 
 
 def test_bounds_parse_error(tmp_path, capsys):
@@ -307,6 +328,17 @@ def test_sweep_config_errors():
     with pytest.raises(ConfigError) as exc:
         parse_sweep_config("commands=bounds,simulat\n")
     assert "simulat" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_sweep_config("n=8\nscheme=wibble\n")
+    assert "line 2: unknown scheme 'wibble'" in str(exc.value)
+    for text, message in (("M=0\n", "M values must be positive"),
+                          ("B=0\n", "B values must be positive"),
+                          ("M=2\ncommands=simulate\n", "M=2 too small for simulation")):
+        with pytest.raises(ConfigError) as exc:
+            parse_sweep_config(text)
+        assert message in str(exc.value)
+    # bounds alone take any positive M
+    assert parse_sweep_config("M=2\ncommands=bounds\n")["M"] == [2]
     for p_fast in ("nan", "1.5", "-0.1", "inf"):
         with pytest.raises(ConfigError) as exc:
             parse_sweep_config(f"plan=random\np_fast={p_fast}\n")
@@ -415,6 +447,48 @@ def test_sweep_fails_on_a_parsimony_violation(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "sweep: plan=random n=16 seed=1 p_fast=0.6 M=12 B=1: 1 parsimony violation(s), "
         "the first at step 5: value read into cache at 3 evicted/overwritten unused\n")
+
+
+def test_sweep_winograd_rows(tmp_path):
+    # scheme= picks the scheme of every uniform plan in the sweep
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("plan=uniform\nscheme=winograd\nn=8\nn0=1\nM=12\nB=1,4\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+    plan = uniform_plan(8, 1, WINOGRAD)
+    want = []
+    for b in (1, 4):
+        mc = MachineConfig(12, b)
+        want.append((str(b), str(simulate(gen_hybrid_schedule(plan, mc), mc).io_total)))
+    assert [(r["B"], r["io_total"]) for r in rows] == want
+    strassen = simulate(gen_hybrid_schedule(uniform_plan(8, 1), MachineConfig(12, 1)),
+                        MachineConfig(12, 1)).io_total
+    assert rows[0]["io_total"] != str(strassen)
+
+
+def test_sweep_fails_on_io_below_bound(tmp_path, monkeypatch, capsys):
+    # a measured I/O below its bound means a bug in the bound or the
+    # simulator: exit 1 and name the row, with the CSV still written
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("plan=uniform\nn=8\nn0=1,8\nM=12\nB=1\n")
+    real = cli.simulate
+    calls = []
+
+    def simulate_low(sched, mc):
+        calls.append(sched)
+        stats = real(sched, mc)
+        return IoStats(1, 0, stats.peak_cache, stats.computes) if len(calls) == 2 else stats
+
+    monkeypatch.setattr(cli, "simulate", simulate_low)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == (
+        "sweep: plan=uniform n=8 n0=8 M=12 B=1: measured I/O below bound (artifact bug)\n")
+    header, *lines = out.read_text().splitlines()
+    assert [dict(zip(header.split(","), ln.split(",")))["io_total"] for ln in lines][1:] == ["1"]
 
 
 def test_sweep_ratios_at_least_one(tmp_path):

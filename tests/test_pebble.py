@@ -542,7 +542,9 @@ def test_parse_schedule_rejects_garbage():
     # with one operand would make ``replay_values`` fail on a missing word
     with pytest.raises(ValueError, match="bad schedule line 3"):
         parse_schedule("R 0 1\nR 1 1\nC 2 mul 0\nW 2 1\n", MemoryLayout(1))
-    for line in ["C 2 mul 0 -5", "C 2 add 0 1 1", "C 2 cpy 0 1", "C 2 neg 0 -1"]:
+    # so must every other move: extra tokens are refused, not dropped
+    for line in ["C 2 mul 0 -5", "C 2 add 0 1 1", "C 2 cpy 0 1", "C 2 neg 0 -1",
+                 "R 0 1 junk", "W 0 1 2", "E 0 7 8"]:
         with pytest.raises(ValueError, match="bad schedule line 1"):
             parse_schedule(line, MemoryLayout(1))
     assert parse_schedule("C 2 sub 0 1\nC 3 cpy 2\nC 3 neg 3\n", MemoryLayout(1)).moves == [

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridmm.ringmat import (BLAS_MIN_INNER, DEFAULT_MODULUS, LIMB_MIN_INNER, Matrix,
-                              mat_add, mat_mul_naive, mat_sub, matmul_mod, matmul_pyint)
+from hybridmm.ringmat import (BLAS_MIN_INNER, DEFAULT_MODULUS, Matrix, mat_add, mat_mul_naive,
+                              mat_sub, matmul_mod, matmul_pyint)
 
 P = DEFAULT_MODULUS
 
@@ -69,7 +69,7 @@ def test_matmul_mod_no_overflow_with_extreme_entries():
 
 
 def test_matmul_mod_exactness_limits():
-    # at the limits the sums are still exact
+    # at the limits the sums are still exact: six limbs of 6 bits at k = 2**16
     k = 1 << 16
     a = np.full((1, k), P - 1, dtype=np.int64)
     assert matmul_mod(a, a.T.copy(), P)[0, 0] == (k * (P - 1) * (P - 1)) % P
@@ -91,7 +91,7 @@ def test_matmul_mod_exactness_limits():
 @pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 64])
 def test_matmul_mod_matches_pyint_on_both_paths(k, p):
     # stacked non-square operands, uniform and all p-1: the outer product at
-    # k = 1, int64 at k = 2, two float64 products from 15 to 64
+    # k = 1, two int64 limb products at k = 2, two float64 ones from 15 to 64
     rng = np.random.default_rng(k)
     a = rng.integers(0, p, size=(2, 3, 5, k), dtype=np.int64)
     b = rng.integers(0, p, size=(2, 3, k, 4), dtype=np.int64)
@@ -138,14 +138,16 @@ def _strided(x):
 
 
 @pytest.mark.parametrize("p", [3, 65537, P])
-@pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 65, 256])
+@pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 65, 256, 2048, 2049])
 def test_matmul_mod_path_edges(k, p):
-    # a stack of 16 products of 8 x k by k x 8 and one 3 x k by k x 2
-    # product: the outer product at k = 1, int64 below BLAS_MIN_INNER, two
-    # float64 products from 8 to 64, four limbs from 65
-    assert (BLAS_MIN_INNER, LIMB_MIN_INNER) == (8, 65)
+    # a stack of 16 products of 8 x k by k x 8, up to k = 256, and one 3 x k
+    # by k x 2 product: the outer product at k = 1, int64 below
+    # BLAS_MIN_INNER and float64 from it, two limbs up to 64, three from 65
+    # to 2048 and four at 2049
+    assert BLAS_MIN_INNER == 8
     rng = np.random.default_rng([k, p])
-    for sa, sb in (((16, 8, k), (16, k, 8)), ((3, k), (k, 2))):
+    stacked = [((16, 8, k), (16, k, 8))] if k <= 256 else []
+    for sa, sb in stacked + [((3, k), (k, 2))]:
         for a, b in ((rng.integers(0, p, size=sa, dtype=np.int64),
                       rng.integers(0, p, size=sb, dtype=np.int64)),
                      (np.full(sa, p - 1, dtype=np.int64), np.full(sb, p - 1, dtype=np.int64))):
