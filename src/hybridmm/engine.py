@@ -1,39 +1,52 @@
 """Execute a recursion plan on concrete matrices.
 
-The recursion works on int64 ndarrays of shape (..., s, s): any leading axes
-are broadcast through untouched, so a whole batch of matrix pairs can be run
+The recursion works on arrays of shape (..., s, s): any leading axes are
+broadcast through untouched, so a whole batch of matrix pairs can be run
 through one plan in a single tree walk. ``execute`` is the single-pair
 surface; ``execute_stacked`` exposes the same core for bulk verification.
 
-The walk is level-synchronous where a plan shares one subtree across all
-seven children of a fast node, as ``uniform_plan`` does: the seven encoded
-operand pairs are stacked on a new leading axis and the walk descends once,
+The walk is level-synchronous where the seven children of a fast node are
+one shared subtree, as in ``uniform_plan``, or equal leaves: the seven
+encoded operand pairs are stacked on a new axis and the walk descends once,
 so a uniform plan costs one call per level instead of one per node.  A
 stacked operand may hold at most a quarter of the root operand's entries,
 the size of the first encoded operand of a depth-first walk; above that the
-seven children are walked one by one, each still carrying its leading axes,
-and stacking is tried again one level down.  Mixed children are always
-walked one by one.
+seven children are walked one by one, each on its own encoded operands and
+still carrying its leading axes, and stacking is tried again one level down.
+Mixed children are walked one by one, on the slots of the stacked operands
+where those fit.
 
-Quadrant views of a row-major (..., s, s) block have rows of s/2 entries,
-and numpy runs one inner loop per row, so a combination of them costs
-several times one of contiguous blocks.  Every node above the plan's
-largest leaf, at depth L = log2(n / largest leaf), is a fast node, so
-``execute_stacked`` copies the operands once into a quadrant layout of
-shape ``(4,) * L + stack + (s, s)`` (``_to_layout``): at each of the top L
-levels a node's quadrants are its first four entries, contiguous, and a
-stacked descent inserts the seven encoded operands as a stack axis behind
-the quadrant axes, so the next level still takes its quadrants by one
-index.  From depth L down the walk splits row-major blocks.  The product is
-copied back at the end (``_from_layout``), never at a leaf.  A random plan
-usually has a leaf under the root, so L is 0 or 1 and its walk is almost
-all row-major.
+A fast node works on its operands in a quadrant layout of shape ``(4,) * l
++ stack + (s, s)`` (``_to_layout``): the first axis indexes the quadrants,
+each laid out one level less.  Viewed as ``(Q, 4, M)``, with Q the product
+of the other quadrant axes, an operand's encode is one ``np.matmul`` by the
+scheme's 7x4 coefficient matrix (``FastScheme.encode_a`` or ``encode_b``),
+and its ``(Q, 7, M)`` result is the seven encoded operands stacked behind
+the remaining quadrant axes, as the next level takes them; the decode is one
+``np.matmul`` by the 4x7 ``decode`` matrix into the output's quadrant view.
+Where the stack would not fit, each child's operands are one row's
+``np.matmul``.  Every node above the plan's largest leaf, at depth
+L = log2(n / largest leaf), is a fast node, so ``execute_stacked`` copies
+the operands once into an L-level layout, in float64, and the product back
+at the end.  A fast node below depth L is handed row-major blocks (a random
+plan usually has a leaf under the root, so L is 0 or 1): it copies them
+into a one-level layout and its product back.
+
+The walk runs in float64 on exact integers, with delayed modular reduction,
+as ``ringmat`` explains: every entry is an integer, and a bound on its
+magnitude is tracked per operand.  An encode or decode multiplies the bound
+by the largest L1 norm of the coefficient rows, and a leaf's product is
+within p.  Nothing is reduced while the next combination stays within
+``BUDGET`` = 2**52, so every encode and decode sum is exact in any order;
+when it would not, the operand is first reduced in place to balanced
+residues, within p // 2 + 1 (``_within``).  The schemes' norms are at most
+4, so with p < 2**31 a walk of up to ten levels (n = 1024 down to 1x1
+leaves) never reduces: its bounds stay below 4**10 * 2**31 = 2**51.  The
+product is reduced once at the end and returned as int64 in [0, p).
 
 Every standard leaf is one ``matmul_mod`` call, whatever its variant: over
 Z/pZ both variants give the exact product, so the variant is a property of
 the CDAG (the summation tree ``cdag`` builds for the leaf), not of a value.
-Encodes and decodes reduce late: each combination is summed in int64 and
-brought into [0, p) by conditional subtractions, with no division.
 
 Alongside the product the walk records the sizes of the standard leaves it
 multiplies, in depth-first order, as runs of equal sizes.  No other module
@@ -44,12 +57,14 @@ products against the bound's |T|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .plans import RecursionPlan, StandardLeaf
-from .ringmat import DEFAULT_MODULUS, Matrix, _check_exact, matmul_mod
+from .ringmat import (BUDGET, DEFAULT_MODULUS, Matrix, _balanced_bound, _check_exact, _lift,
+                      _reduce, matmul_mod)
 
 
 @dataclass
@@ -82,11 +97,9 @@ class ExecTrace:
         return sum(s ** 3 * c for s, c in self.leaf_runs)
 
 
-def _quads(x: np.ndarray, levels: int = 0):
-    """The four quadrants of ``x``: its first four entries when ``levels``
-    leading axes index quadrants, else row-major quadrant views."""
-    if levels:
-        return x[0], x[1], x[2], x[3]
+def _quads(x: np.ndarray):
+    """The four quadrant views of a row-major ``x``, in the order of the
+    schemes' coefficient rows and of the layout's quadrant axes."""
     h = x.shape[-1] // 2
     return (x[..., :h, :h], x[..., :h, h:], x[..., h:, :h], x[..., h:, h:])
 
@@ -105,25 +118,22 @@ def _layout_axes(x: np.ndarray, levels: int):
 
 
 def _to_layout(x: np.ndarray, levels: int) -> np.ndarray:
-    """``x`` of shape ``stack + (n, n)`` copied to shape ``(4,) * levels +
-    stack + (s, s)``: entry ``q1, ..., qL`` is the block reached by taking
-    quadrant ``q1`` (in ``_quads`` order), then ``q2`` of that, and so on.
-    With no levels it is ``x`` itself."""
-    if not levels:
-        return x
+    """``x`` of shape ``stack + (n, n)`` copied to a float64 array of shape
+    ``(4,) * levels + stack + (s, s)``: entry ``q1, ..., qL`` is the block
+    reached by taking quadrant ``q1`` (in ``_quads`` order), then ``q2`` of
+    that, and so on."""
     s = x.shape[-1] >> levels
-    out = np.empty((4,) * levels + x.shape[:-2] + (s, s), dtype=x.dtype)
+    out = np.empty((4,) * levels + x.shape[:-2] + (s, s))
     np.copyto(out.reshape((2,) * (2 * levels) + out.shape[levels:]), _layout_axes(x, levels))
     return out
 
 
-def _from_layout(y: np.ndarray, levels: int) -> np.ndarray:
-    """Inverse of ``_to_layout``."""
-    if not levels:
-        return y
+def _from_layout(y: np.ndarray, levels: int, dtype=np.float64) -> np.ndarray:
+    """Inverse of ``_to_layout``, copied to ``dtype``."""
     n = y.shape[-1] << levels
-    out = np.empty(y.shape[levels:-2] + (n, n), dtype=y.dtype)
-    np.copyto(_layout_axes(out, levels), y.reshape((2,) * (2 * levels) + y.shape[levels:]))
+    out = np.empty(y.shape[levels:-2] + (n, n), dtype=dtype)
+    np.copyto(_layout_axes(out, levels), y.reshape((2,) * (2 * levels) + y.shape[levels:]),
+              casting="unsafe")
     return out
 
 
@@ -137,95 +147,97 @@ def _shallowest_leaf_depth(plan: RecursionPlan) -> int:
     return depth
 
 
-def _combine(coeffs, quads, modulus, out=None):
-    """Linear combination of quadrant blocks with coefficients in {-1, 0, 1},
-    reduced to [0, p), written into ``out`` when given.
-
-    Reduction is delayed, as in FFLAS: the signed terms are summed in int64
-    with ``neg * p`` added, which puts the sum in [0, top] for ``top =
-    pos * (p - 1) + neg * p``.  Conditional subtractions of ``2**j * p``, from
-    the largest j with ``2**j * p <= top`` down to 0, then bring it into
-    [0, p); on a uint64 view ``min(u, u - s)`` is ``u - s`` exactly when
-    ``u >= s``, since the difference wraps otherwise.  That is ceil(log2 k)
-    passes for k terms, or ceil(log2 (k + 1)) when all of them are -1 (their
-    shifted sum can be exactly ``k * p``).  Without ``out``, a lone +1 term
-    is returned as it is.
-    """
-    terms = [(c, q) for c, q in zip(coeffs, quads) if c]
-    if out is None and len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    # numpy runs one inner loop per row of a row-major quadrant ``out`` whose
-    # rows hold two or more entries, so such an ``out`` is summed in a
-    # contiguous block and written once; any other ``out``, such as a stack
-    # slot, whose rows abut, is summed in place
-    in_place = out is not None and (out.shape[-1] == 1
-                                    or out.strides[-2:] == (8 * out.shape[-1], 8))
-    acc = out if in_place else np.empty(quads[0].shape, dtype=np.int64)
-    neg = sum(c < 0 for c, _ in terms)
-    rest = terms[1:]
-    if not terms:
-        acc[...] = 0
-    elif terms[0][0] < 0:
-        np.subtract(neg * modulus, terms[0][1], out=acc)
-    elif neg or not rest:
-        np.add(terms[0][1], neg * modulus, out=acc)
-    else:  # no shift to add: the first operation sums two terms
-        np.add(terms[0][1], rest[0][1], out=acc)
-        rest = rest[1:]
-    for c, q in rest:
-        (np.add if c > 0 else np.subtract)(acc, q, out=acc)
-    top = (len(terms) - neg) * (modulus - 1) + neg * modulus
-    passes = (top // modulus).bit_length()
-    if passes:
-        u = acc.view(np.uint64)
-        tmp = np.empty_like(u)
-        for j in reversed(range(passes)):
-            np.subtract(u, modulus << j, out=tmp)
-            np.minimum(u, tmp, out=u)
-    if out is None or out is acc:
-        return acc
-    np.copyto(out, acc)
+@functools.cache
+def _matrices(scheme):
+    """``encode_a``, ``encode_b`` and ``decode`` of the scheme as read-only
+    float64 matrices, each with the largest L1 norm of its rows."""
+    out = []
+    for rows in (scheme.encode_a, scheme.encode_b, scheme.decode):
+        m = np.array(rows, dtype=np.float64)
+        m.flags.writeable = False
+        out.append((m, int(np.abs(m).sum(axis=1).max())))
     return out
 
 
-def _run(node: RecursionPlan, a, b, modulus, trace: ExecTrace, limit: int, levels: int):
+def _within(x: np.ndarray, bound: int, norm: int, modulus: int) -> int:
+    """Bound on the entries of combinations of ``x``'s entries by rows of L1
+    norm ``norm``, when ``x``'s are bounded by ``bound``; ``x`` is reduced in
+    place first if that would exceed ``BUDGET``."""
+    if norm * bound > BUDGET:
+        _reduce(x, modulus, out=x)
+        bound = _balanced_bound(modulus)
+    return norm * bound
+
+
+def _by_quadrant(x: np.ndarray, levels: int) -> np.ndarray:
+    """``x``, in a layout of ``levels`` levels, viewed as ``(Q, 4, M)`` with
+    its quadrant axis in the middle: a matmul by a coefficient matrix
+    combines its quadrants, and a ``(Q, 7, M)`` result holds seven operands
+    behind the remaining ``levels - 1`` quadrant axes."""
+    return x.reshape(4, 4 ** (levels - 1), -1).transpose(1, 0, 2)
+
+
+def _run(node: RecursionPlan, a, b, bounds, modulus, trace: ExecTrace, limit: int, levels: int):
     """Product of the stacked operands ``a`` and ``b`` through ``node``, in
     the layout of ``a`` and ``b``: their first ``levels`` axes index
-    quadrants (see ``_to_layout``).
+    quadrants (see ``_to_layout``).  Returns it with a bound on the
+    magnitude of its entries.
 
+    ``a`` and ``b`` are float64 arrays of integers of magnitude at most
+    ``bounds``, owned by the walk: a node may reduce them in place.
     ``limit`` is the most entries a stacked operand may hold."""
     if isinstance(node, StandardLeaf):
         trace.add(node.size)
-        return matmul_mod(a, b, modulus)
+        return matmul_mod(a, b, modulus), modulus
+    if not levels:
+        out, bound = _run(node, _to_layout(a, 1), _to_layout(b, 1), bounds, modulus, trace,
+                          limit, 1)
+        return _from_layout(out, 1), bound
 
-    scheme = node.scheme
-    aq = _quads(a, levels)
-    bq = _quads(b, levels)
-    below = max(levels - 1, 0)
+    (enc_a, norm_a), (enc_b, norm_b), (dec, norm_dec) = _matrices(node.scheme)
+    bounds = (_within(a, bounds[0], norm_a, modulus), _within(b, bounds[1], norm_b, modulus))
+    below = levels - 1
+    quads_a, quads_b = _by_quadrant(a, levels), _by_quadrant(b, levels)
+    quad = a.shape[1:]
+    q, m = quads_a.shape[0], quads_a.shape[-1]
+    fits = 7 * (a.size // 4) <= limit
+    if fits:  # the seven encoded operands of each side, stacked
+        stack_a, stack_b = np.matmul(enc_a, quads_a), np.matmul(enc_b, quads_b)
     child = node.children[0]
-    if all(c is child for c in node.children) and 7 * aq[0].size <= limit:
-        # the seven operand pairs join the stack axes, after the quadrant
-        # axes; ``slots`` views that axis first
-        shape = aq[0].shape[:below] + (7,) + aq[0].shape[below:]
-        slots = (below, *range(below), *range(below + 1, len(shape)))
-        xa = np.empty(shape, dtype=np.int64)
-        xb = np.empty(shape, dtype=np.int64)
-        for row_a, row_b, slot_a, slot_b in zip(scheme.encode_a, scheme.encode_b,
-                                                xa.transpose(slots), xb.transpose(slots)):
-            _combine(row_a, aq, modulus, slot_a)
-            _combine(row_b, bq, modulus, slot_b)
+    # leaves are values, so equal ones stack as one shared subtree does
+    if fits and all(c == child for c in node.children):
+        shape = quad[:below] + (7,) + quad[below:]
         sub = ExecTrace()
-        products = _run(child, xa, xb, modulus, sub, limit, below).transpose(slots)
+        products, bound = _run(child, stack_a.reshape(shape), stack_b.reshape(shape), bounds,
+                               modulus, sub, limit, below)
+        products = products.reshape(q, 7, m)
         trace.extend(sub, 7)
     else:
-        products = [_run(c, _combine(scheme.encode_a[i], aq, modulus),
-                         _combine(scheme.encode_b[i], bq, modulus), modulus, trace, limit, below)
-                    for i, c in enumerate(node.children)]
+        products = np.empty((q, 7, m))
+        bound = 0
+        for i, c in enumerate(node.children):
+            if fits:
+                op_a, op_b = stack_a[:, i], stack_b[:, i]
+            else:  # one row at a time, to hold one child's operands only
+                op_a, op_b = np.matmul(enc_a[i:i + 1], quads_a), np.matmul(enc_b[i:i + 1], quads_b)
+            product, child_bound = _run(c, op_a.reshape(quad), op_b.reshape(quad), bounds, modulus,
+                                        trace, limit, below)
+            products[:, i] = product.reshape(q, m)
+            bound = max(bound, child_bound)
+            del op_a, op_b, product  # not held through the next child's walk
 
-    out = np.empty(a.shape, dtype=np.int64)
-    for row, quad in zip(scheme.decode, _quads(out, levels)):
-        _combine(row, products, modulus, quad)
-    return out
+    bound = _within(products, bound, norm_dec, modulus)
+    out = np.empty(a.shape)
+    np.matmul(dec, products, out=_by_quadrant(out, levels))
+    return out, bound
+
+
+def _residues(x: np.ndarray, modulus: int) -> np.ndarray:
+    """``x`` with its entries in [0, p): ``x`` itself if they are, two
+    read-only passes being cheaper than one integer ``%``."""
+    if x.min() < 0 or x.max() >= modulus:
+        return x % modulus
+    return x
 
 
 def execute_stacked(plan: RecursionPlan, a: np.ndarray, b: np.ndarray,
@@ -234,20 +246,25 @@ def execute_stacked(plan: RecursionPlan, a: np.ndarray, b: np.ndarray,
 
     Returns (product array, trace). The trace describes the single tree
     walk, which is shared by every matrix pair in the stack.  Where all
-    seven children of a fast node are one subtree, the walk descends once
-    on their stacked operands, as long as a stacked operand holds at most
-    ``a.size // 4`` entries; the peak memory stays that of a depth-first
-    walk.  Raises ValueError where ``matmul_mod`` would not be exact: a
-    modulus of 2**31 or more, or a plan larger than 2**16.
+    seven children of a fast node are one subtree or equal leaves, the walk
+    descends once on their stacked operands, as long as a stacked operand
+    holds at most ``a.size // 4`` entries; the peak memory stays that of a
+    depth-first walk.  Raises ValueError where ``matmul_mod`` would refuse: a modulus of
+    2**31 or more, or a plan larger than 2**16.
     """
     _check_exact(modulus, plan.size)
     if a.shape != b.shape or a.shape[-1] != plan.size or a.shape[-2] != plan.size:
         raise ValueError(f"operand shape {a.shape} does not match plan size {plan.size}")
-    levels = _shallowest_leaf_depth(plan)
     trace = ExecTrace()
-    out = _run(plan, _to_layout(a % modulus, levels), _to_layout(b % modulus, levels),
-               modulus, trace, a.size // 4, levels)
-    return _from_layout(out, levels), trace
+    a, b = _residues(a, modulus), _residues(b, modulus)
+    if isinstance(plan, StandardLeaf):
+        trace.add(plan.size)
+        return matmul_mod(a, b, modulus), trace
+    levels = _shallowest_leaf_depth(plan)
+    out, _ = _run(plan, _to_layout(a, levels), _to_layout(b, levels),
+                  (modulus - 1, modulus - 1), modulus, trace, a.size // 4, levels)
+    _reduce(out, modulus, out=out)
+    return _lift(_from_layout(out, levels, np.int64), modulus), trace
 
 
 def execute(plan: RecursionPlan, a: Matrix, b: Matrix):

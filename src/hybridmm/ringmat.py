@@ -6,15 +6,37 @@ tolerance to pick.
 
 Matrices are square, row-major, immutable, and backed by int64 numpy arrays.
 ``matmul_mod`` returns the exact product mod p for moduli below 2**31 and
-inner dimensions k up to 2**16, and raises ValueError outside those limits.
-At k = 1 (the 1x1 leaves of a plan cut off at n0 = 1) each entry is a
-single product below 2**62, taken in int64 and reduced once.  Every other
-product follows one rule, after the FFLAS library's limbs: b is cut into as
-many limbs as k needs for each ``a @ limb`` to stay below 2**53, where
-float64 is exact, and the limb products are combined by Horner's rule in
-int64.  They run in float64 BLAS from k = ``BLAS_MIN_INNER`` = 8 and in
-int64 below it.  Every reduction is a division by the modulus, which numpy
-does as a multiply and a shift, instead of its slower ``%``.
+inner dimensions k up to 2**16, and raises ValueError outside those limits;
+2**16 is a cost cap, not an exactness limit.  At k = 1 (the 1x1 leaves of a
+plan cut off at n0 = 1) each entry is a single product below 2**62, taken in
+int64 and reduced once.  Every other product is taken in float64 BLAS on
+exact integers, with delayed modular reduction, after FFLAS (Dumas, Giorgi
+& Pernet, "Dense linear algebra over word-size prime fields", ACM TOMS
+2008).  The engine's block combinations use the same arithmetic.  That it
+is exact rests on three facts.
+
+1. Exact sums.  Every integer of magnitude at most 2**53 is a float64, and
+   an operation whose exact result is such an integer returns it exactly.
+   A product or sum of integers whose every partial sum stays within 2**53
+   is therefore exact in any summation order, blocked or threaded, and with
+   or without fused multiply-adds, whose one rounding is then of an exact
+   value.  Every BLAS product here sums integer terms whose magnitudes add
+   up to at most ``BUDGET`` = 2**52, so no partial sum can leave that range.
+2. Balanced reduction.  ``_reduce`` computes ``x - rint(x * (1/p)) * p``.
+   For an integer |x| <= 2**52, ``x * (1/p)`` takes two roundings of
+   relative size at most 2**-53 each, so it is within (1 + 2**-53) / p of
+   x / p, its ``rint`` q is within 1/2 + (1 + 2**-53) / p, and the integer
+   x - q * p has magnitude at most p // 2 + 1 (``_balanced_bound``).  q * p
+   is at most 2**52 + 2**31 in magnitude and the result is small, so both
+   are computed exactly.
+3. Digits.  Operands reduced by 2. have entries within r = p // 2 + 1.  b
+   is cut into balanced digits of w bits, |d| <= 2**(w - 1), for the
+   largest w with (k + 2) * r * 2**(w - 1) <= 2**52 (``_digits``); scaling
+   by a power of two, ``rint`` and taking a digit times its place value off
+   are exact on these integers.  Each digit product then sums k terms of magnitude at most r * 2**(w - 1), and
+   Horner's rule, which adds a reduced residue shifted by w bits, stays
+   within (k + 2) * r * 2**(w - 1); both are within 2**52, as 1. and 2.
+   need.  w >= 1 holds up to about k = 2**52 / r, 2**22 for p near 2**31.
 """
 
 from __future__ import annotations
@@ -107,78 +129,110 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _check_exact(modulus: int, inner: int):
-    """Raise ValueError unless ``matmul_mod`` is exact for this modulus and
-    inner dimension."""
+    """Raise ValueError unless ``matmul_mod`` takes this modulus and inner
+    dimension."""
     if modulus >= 1 << 31:
         raise ValueError(f"modulus {modulus} is not below 2**31; int64 products would overflow")
     if inner > 1 << 16:
-        raise ValueError(f"inner dimension {inner} exceeds 2**16; int64 sums would overflow")
+        raise ValueError(
+            f"inner dimension {inner} exceeds 2**16, matmul_mod's cost cap: its sums stay exact "
+            f"to about 2**22, but for p near 2**31 its digit products grow from six at 2**16 "
+            f"to 31 there")
 
 
-# matmul_mod's limb products run in float64 BLAS from an inner dimension of
-# BLAS_MIN_INNER up and in int64 below it.  Microseconds per call, int64 /
-# float64, the dtype forced, on a 2-core x86-64 machine shared with other
-# jobs (numpy 2.4, OpenBLAS on 2 threads), for one k x k product / a stack
-# of 7 / a stack of 49:
-#   inner  4:  21.2 / 26.4    23.5 / 28.6    40.4 / 44.2
-#   inner  8:  22.8 / 26.5    35.6 / 33.7     120 / 69.3
-#   inner 16:  34.8 / 30.6     115 / 50.0     672 /  180
-# A single product at inner 8 pays a few microseconds more on BLAS than in
-# int64; a stack of 7 breaks even.
-BLAS_MIN_INNER = 8
+# Integers of magnitude up to 2**53 are float64 values; the kernel and the
+# engine keep every value they reduce within BUDGET, half of that range.
+BUDGET = 1 << 52
 
 
-def _reduce(x: np.ndarray, modulus: int) -> np.ndarray:
-    """``x`` reduced mod p, in place unless it is a numpy scalar, for int64
-    entries in [0, 2**63).
+def _balanced_bound(modulus: int) -> int:
+    """Largest magnitude of a residue that ``_reduce`` returns."""
+    return modulus // 2 + 1
 
-    It computes ``x - (x // p) * p`` on a uint64 view: numpy divides by a
-    scalar with a multiply and a shift, which made ``matmul_mod`` on a
-    ``(343, 16, 16)`` stack take 0.69 ms against 1.15 ms with ``%``; a
-    single small product pays about 4 us more for its three passes."""
-    u = x.view(np.uint64)
-    p = np.uint64(modulus)
-    q = u // p
-    q *= p
-    u -= q
-    return u.view(np.int64)
+
+def _reduce(x: np.ndarray, modulus: int, out=None) -> np.ndarray:
+    """``x - rint(x * (1/p)) * p`` in float64, into ``out`` (``x`` itself
+    included) or a new array: congruent to ``x`` and of magnitude at most
+    ``_balanced_bound(p)``, exactly, for integer entries of magnitude at most
+    ``BUDGET``."""
+    t = np.multiply(x, 1.0 / modulus)
+    np.rint(t, out=t)
+    t *= modulus
+    return np.subtract(x, t, out=t if out is None else out)
+
+
+def _lift(c: np.ndarray, modulus: int) -> np.ndarray:
+    """int64 balanced residues ``c`` moved into [0, p), in place: the sign
+    bit, spread by an arithmetic shift, masks the modulus to add."""
+    c += (c >> 63) & modulus
+    return c
+
+
+def _digits(k: int, modulus: int) -> tuple:
+    """``matmul_mod``'s digit width w and digit count D at inner dimension
+    ``k``: w the largest with (k + 2) * r * 2**(w - 1) <= ``BUDGET`` for r =
+    ``_balanced_bound(p)``, D the least with r <= 2**(w*D - 1).  At w = 0,
+    past about k = 2**52 / r, there is no digit width and D is 0."""
+    r = _balanced_bound(modulus)
+    w = (BUDGET // ((k + 2) * r)).bit_length()
+    return w, -(-((r - 1).bit_length() + 1) // w) if w else 0
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact stacked matmul of int64 arrays with entries in [0, p).
+    """Exact stacked matmul over Z/pZ, for p < 2**31 and inner dimensions k
+    up to 2**16; outside those limits it raises ValueError.
 
-    At inner dimension 1 the product is a broadcast elementwise product and
-    one reduction.  Otherwise b is cut into limbs of w = min(16, 22 -
-    ceil(log2 k)) bits, most significant first, and the product is
-    ``sum_i (a @ limb_i) * 2**(w*i)``, taken by Horner's rule: ``acc =
-    (acc mod p) << w; acc += a @ limb``, reduced once more at the end.
-    Each limb product sums k terms below 2**31 * 2**w, so every sum is
-    below k * 2**(31 + w) <= 2**53, which float64 holds exactly; ``(acc mod
-    p) << w`` is below 2**47, so ``acc`` stays below 2**54.  That is two
-    limbs up to k = 64, three up to 2048 and six at 2**16.  The limb
-    products run in float64 BLAS from an inner dimension of
-    ``BLAS_MIN_INNER`` up and in int64 below it.  The kernel is exact for
-    p < 2**31 and inner dimensions up to 2**16; outside those limits it
-    raises ValueError.
+    int64 operands hold entries in [0, p) and the result is int64 in [0, p).
+    float64 operands, as the engine passes them, hold integers of magnitude
+    at most ``BUDGET``, and the result is float64: integers of magnitude at
+    most p.  float64 operands are the caller's scratch: the kernel reduces
+    them in place, as FFLAS routines do, so that a leaf of the engine copies
+    neither.
+
+    Both operands are first reduced to balanced residues.  At k = 1 the
+    product is then a broadcast elementwise product, below 2**62 in int64,
+    and one reduction.  Otherwise b is cut into balanced digits (see the
+    module docstring), most significant first, each the ``rint`` of what is
+    left of b over its place value; one BLAS product is taken per digit, and
+    the products are combined by Horner's rule, ``acc = reduce(acc) * 2**w
+    + a @ digit``, with a last reduction.  For p = 2**31 - 1 that is two
+    digits up to k = 126, three up to 4094, four up to 32766, five up to
+    65534 and six at 2**16; for p = 65537, one at every k.  It is exact
+    because every partial sum of a digit product, and every Horner sum, is
+    an integer within 2**52, which float64 holds whatever the summation
+    order, and every reduction of such an integer is exact and within p //
+    2 + 1.
     """
     k = a.shape[-1]
     _check_exact(modulus, k)
+    floats = a.dtype == np.float64
+    a, b = (_reduce(x, modulus, out=x if floats else None) for x in (a, b))
     if k == 1 and a.ndim > 1 and b.ndim > 1:
         # an outer product: each entry is one product below 2**62
-        return a * b % modulus
-    w = min(16, 22 - (k - 1).bit_length())
-    top = 30 // w * w  # the shift of the most significant limb
-    dtype = np.float64 if k >= BLAS_MIN_INNER else np.int64
-    a = a.astype(dtype, copy=False)
-    # one limb is alive at a time, built in place; the top one needs no mask
-    limb = np.right_shift(b, top, out=np.empty(b.shape, dtype))
-    acc = np.matmul(a, limb).astype(np.int64, copy=False)
-    for shift in range(top - w, -1, -w):
-        np.bitwise_and(b >> shift if shift else b, (1 << w) - 1, out=limb)
-        acc = _reduce(acc, modulus)
-        acc <<= w
-        acc += np.matmul(a, limb).astype(np.int64, copy=False)
-    return _reduce(acc, modulus)
+        c = a.astype(np.int64) * b.astype(np.int64) % modulus
+        return c.astype(np.float64) if floats else c
+    w, digits = _digits(k, modulus)
+    # b below the digits taken so far, overwritten digit by digit
+    rest = b.copy() if np.may_share_memory(a, b) else b
+    digit = np.empty_like(rest)
+    acc = prod = None
+    for shift in range(w * (digits - 1), -1, -w):
+        if shift:
+            np.multiply(rest, 2.0 ** -shift, out=digit)
+            np.rint(digit, out=digit)
+            prod = np.matmul(a, digit, out=prod)
+            digit *= 2.0 ** shift
+            rest -= digit
+        else:  # the last digit is what is left
+            prod = np.matmul(a, rest, out=prod)
+        if acc is None:
+            acc, prod = prod, None
+        else:
+            _reduce(acc, modulus, out=acc)
+            acc *= 2.0 ** w
+            acc += prod
+    _reduce(acc, modulus, out=acc)
+    return acc if floats else _lift(acc.astype(np.int64), modulus)
 
 
 def matmul_pyint(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:

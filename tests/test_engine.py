@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import hybridmm.engine
-from hybridmm.engine import (_combine, _from_layout, _quads, _shallowest_leaf_depth, _to_layout,
+from hybridmm.engine import (_from_layout, _quads, _shallowest_leaf_depth, _to_layout, _within,
                              execute, execute_stacked)
 from hybridmm.plans import (STRASSEN, WINOGRAD, FastNode, FastScheme, StandardLeaf,
                             StandardVariant, plan_stats, random_plan, uniform_plan)
-from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, mat_mul_naive, matmul_pyint
+from hybridmm.ringmat import (BUDGET, DEFAULT_MODULUS, Matrix, _balanced_bound, _lift, _reduce,
+                              mat_mul_naive, matmul_pyint)
 
 IT = StandardVariant.ITERATIVE_DEF
 BR = StandardVariant.BLOCK_RECURSIVE
@@ -168,6 +169,30 @@ def test_stacked_walk_calls_leaf_kernel_once_per_level(monkeypatch):
     assert _rows_match_oracle(out, a, b)
 
 
+def test_equal_leaves_stack(monkeypatch):
+    # seven equal leaves are stacked as one shared subtree is, whether or
+    # not they are one object; leaves of two variants are not equal
+    calls = []
+    kernel = hybridmm.engine.matmul_mod
+
+    def counting(a, b, modulus):
+        calls.append(a.shape)
+        return kernel(a, b, modulus)
+
+    monkeypatch.setattr(hybridmm.engine, "matmul_mod", counting)
+    a, b = _operands(18, (3, 16, 16))
+    want = matmul_pyint(a, b, DEFAULT_MODULUS)
+    equal = FastNode(STRASSEN, tuple(StandardLeaf(BR, 2) for _ in range(7)))
+    mixed = FastNode(STRASSEN, (StandardLeaf(IT, 2),) + (StandardLeaf(BR, 2),) * 6)
+    # the 49 nodes over the leaves are the first whose stacks fit the limit
+    for node, kernel_calls in ((equal, 49), (mixed, 343)):
+        plan = FastNode(WINOGRAD, (FastNode(STRASSEN, (node,) * 7),) * 7)
+        calls.clear()
+        out, trace = execute_stacked(plan, a, b)
+        assert np.array_equal(out, want)
+        assert len(calls) == kernel_calls and trace.leaf_runs == [(2, 343)]
+
+
 @pytest.mark.parametrize("n, n0, factor", [(512, 16, 7), (256, 1, 8)])
 def test_stacked_walk_memory_peak(n, n0, factor):
     # stacks stay within a quarter of the input, so the peak stays that of
@@ -219,56 +244,104 @@ def test_mixed_children_with_shared_subtree():
     assert all(r[0] != s[0] for r, s in zip(trace.leaf_runs, trace.leaf_runs[1:]))
 
 
-def _combine_oracle(coeffs, quads, p):
-    total = np.zeros(quads[0].shape, dtype=object)
-    for c, q in zip(coeffs, quads):
-        total = total + c * q.astype(object)
-    return total % p
-
-
-def _combine_operands(k, p, seed):
-    # blocks of shape (2, 3, 2, 2): filled with 0, 1 and p-1, entries drawn
-    # from {0, 1, p-1}, and uniform in [0, p)
+def _row_operands(k, p, seed):
+    # k blocks of shape (2, 3, 2, 2): filled with 0, 1 and p-1, entries drawn
+    # from {0, 1, p-1}, uniform in [0, p), and signed integers whose sums
+    # under any row stay within BUDGET, as the walk's unreduced blocks are
     rng = np.random.default_rng(seed)
     shape = (2, 3, 2, 2)
+    top = BUDGET // k
     sets = [[np.full(shape, v, dtype=np.int64) for _ in range(k)] for v in (0, 1, p - 1)]
     sets.append([rng.choice(np.array([0, 1, p - 1]), size=shape) for _ in range(k)])
     sets.append([rng.integers(0, p, size=shape, dtype=np.int64) for _ in range(k)])
+    sets.append([rng.choice(np.array([-top, top, 1 - top]), size=shape) for _ in range(k)])
     return sets
 
 
 @pytest.mark.parametrize("k", [4, 7])
 @pytest.mark.parametrize("p", [DEFAULT_MODULUS, 65537, 3])
 def test_combine_matches_python_int_oracle(k, p):
-    # every coefficient row, written to a fresh array, into a contiguous
-    # slice of a stack, into a strided quadrant, and into a slot of a stack
-    # behind a leading axis, whose rows abut
-    stack = np.empty((7, 2, 3, 2, 2), dtype=np.int64)
-    slots = np.empty((2, 7, 3, 2, 2), dtype=np.int64)
-    whole = np.empty((2, 3, 4, 4), dtype=np.int64)
-    for quads in _combine_operands(k, p, seed=k):
-        for row in itertools.product((-1, 0, 1), repeat=k):
-            want = _combine_oracle(row, quads, p)
-            assert np.array_equal(_combine(row, quads, p), want), row
-            _combine(row, quads, p, stack[3])
-            assert np.array_equal(stack[3], want), row
-            _combine(row, quads, p, _quads(whole)[1])
-            assert np.array_equal(_quads(whole)[1], want), row
-            _combine(row, quads, p, slots[:, 3])
-            assert np.array_equal(slots[:, 3], want), row
+    # every row in {-1, 0, 1}^k applied as the walk applies a coefficient
+    # matrix: one matmul over k blocks viewed as (Q, k, M), into a fresh
+    # array and into a strided view; every combination is exact, and its
+    # balanced reduction is congruent to it and within p // 2 + 1
+    rows = np.array(list(itertools.product((-1, 0, 1), repeat=k)), dtype=np.float64)
+    oracle_rows = rows.astype(np.int64).astype(object)
+    for blocks in _row_operands(k, p, seed=k):
+        stacked = np.stack(blocks)
+        want = np.tensordot(oracle_rows, stacked.astype(object), axes=1)
+        # the blocks' first stack axis plays the quadrant axes behind them
+        view = stacked.astype(np.float64).reshape(k, 2, -1).transpose(1, 0, 2)
+        got = np.matmul(rows, view)
+        strided = np.empty((len(rows), 2, view.shape[-1]))
+        np.matmul(rows, view, out=strided.transpose(1, 0, 2))
+        for combos in (got.transpose(1, 0, 2), strided):
+            combos = combos.reshape(want.shape)
+            assert np.array_equal(combos.astype(np.int64), want.astype(np.int64))
+            reduced = _reduce(combos, p)
+            assert np.abs(reduced).max() <= _balanced_bound(p)
+            assert not np.any((reduced.astype(np.int64) - want.astype(np.int64)) % p)
 
 
 def test_combine_edge_rows():
     p = DEFAULT_MODULUS
-    zeros = [np.zeros((3, 2, 2), dtype=np.int64) for _ in range(7)]
-    # an all-negative row on zero blocks shifts to exactly neg * p, which
-    # must reduce to 0, not p
+    # an all-negative row on zero blocks sums to -0.0, which reduces and
+    # leaves the walk as 0, not p
+    zeros = np.zeros((1, 7, 12))
     for row in ((-1, -1, -1, -1), (-1, 0, 0, 0), (-1,) * 7):
-        out = _combine(row, zeros, p)
-        assert out.dtype == np.int64 and not out.any()
-    # a lone +1 term is the block itself, untouched
-    blocks = [np.full((3, 2, 2), v, dtype=np.int64) for v in range(4)]
-    assert _combine((0, 0, 1, 0), blocks, p) is blocks[2]
+        coeffs = np.array([row + (0,) * (7 - len(row))], dtype=np.float64)
+        out = _reduce(np.matmul(coeffs, zeros), p)
+        assert not out.any()
+        assert np.array_equal(_lift(out.astype(np.int64), p), np.zeros((1, 1, 12), dtype=np.int64))
+    a = np.full((2, 8, 8), 0, dtype=np.int64)
+    out, _ = execute_stacked(uniform_plan(8, 1), a, a)
+    assert out.dtype == np.int64 and not out.any()
+    # _within leaves a block alone while the combination fits BUDGET, and
+    # reduces it in place when it would not
+    x = np.full((3, 4), float(BUDGET // 4))
+    assert _within(x, BUDGET // 4, 4, p) == BUDGET // 4 * 4 and x[0, 0] == BUDGET // 4
+    assert _within(x, BUDGET // 4 + 1, 4, p) == 4 * _balanced_bound(p)
+    assert np.abs(x).max() <= _balanced_bound(p) and (BUDGET // 4 - int(x[0, 0])) % p == 0
+
+
+@pytest.mark.parametrize("budget", [1 << 33, 1 << 36])
+def test_mid_walk_reductions(monkeypatch, budget):
+    # a budget this low makes the walk reduce blocks between levels, which
+    # it never needs to at these sizes with the real one
+    reductions = []
+    reduce = hybridmm.engine._reduce
+
+    def counting(x, modulus, out=None):
+        assert np.abs(x).max() <= budget
+        reductions.append(x.size)
+        return reduce(x, modulus, out=out)
+
+    monkeypatch.setattr(hybridmm.engine, "_reduce", counting)
+    monkeypatch.setattr(hybridmm.engine, "BUDGET", budget)
+    a, b = _operands(17, (2, 64, 64))
+    want = matmul_pyint(a, b, DEFAULT_MODULUS)
+    for plan in (uniform_plan(64, 1, STRASSEN), uniform_plan(64, 2, WINOGRAD),
+                 random_plan(64, 0.8, seed=3)):
+        reductions.clear()
+        out, _ = execute_stacked(plan, a, b)
+        assert np.array_equal(out, want)
+        assert len(reductions) > 1  # more than the last one, of the product
+
+
+@pytest.mark.parametrize("p", [3, 65537, DEFAULT_MODULUS])
+def test_balanced_extremes_through_the_walk(p):
+    # operands of the largest balanced residues, every entry (p-1)/2 or
+    # (p+1)/2 or the two alternating, through plans whose leaves have inner
+    # dimension 1, 2, 8, 64 and 128 (three digits at p = 2**31 - 1)
+    lo, hi = (p - 1) // 2, (p + 1) // 2
+    for n, n0 in ((2, 1), (4, 2), (16, 8), (128, 64), (256, 128)):
+        odd = np.indices((n, n)).sum(axis=0) % 2 == 1
+        ops = [np.full((n, n), lo), np.full((n, n), hi), np.where(odd, hi, lo), np.where(odd, lo, hi)]
+        plan = uniform_plan(n, n0)
+        for a in ops:
+            for b in ops:
+                out, _ = execute_stacked(plan, a, b, p)
+                assert np.array_equal(out[::max(n // 8, 1)], matmul_pyint(a[::max(n // 8, 1)], b, p))
 
 
 @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
