@@ -97,13 +97,6 @@ class ExecTrace:
         return sum(s ** 3 * c for s, c in self.leaf_runs)
 
 
-def _quads(x: np.ndarray):
-    """The four quadrant views of a row-major ``x``, in the order of the
-    schemes' coefficient rows and of the layout's quadrant axes."""
-    h = x.shape[-1] // 2
-    return (x[..., :h, :h], x[..., :h, h:], x[..., h:, :h], x[..., h:, h:])
-
-
 def _layout_axes(x: np.ndarray, levels: int):
     """``x`` of shape ``stack + (n, n)`` viewed with one row bit and one
     column bit per level split off, ordered ``(r1, c1, ..., rL, cL) + stack
@@ -120,8 +113,9 @@ def _layout_axes(x: np.ndarray, levels: int):
 def _to_layout(x: np.ndarray, levels: int) -> np.ndarray:
     """``x`` of shape ``stack + (n, n)`` copied to a float64 array of shape
     ``(4,) * levels + stack + (s, s)``: entry ``q1, ..., qL`` is the block
-    reached by taking quadrant ``q1`` (in ``_quads`` order), then ``q2`` of
-    that, and so on."""
+    reached by taking quadrant ``q1``, then ``q2`` of that, and so on, with
+    quadrants in the order of the schemes' coefficient rows: top left, top
+    right, bottom left, bottom right."""
     s = x.shape[-1] >> levels
     out = np.empty((4,) * levels + x.shape[:-2] + (s, s))
     np.copyto(out.reshape((2,) * (2 * levels) + out.shape[levels:]), _layout_axes(x, levels))
@@ -257,9 +251,6 @@ def execute_stacked(plan: RecursionPlan, a: np.ndarray, b: np.ndarray,
         raise ValueError(f"operand shape {a.shape} does not match plan size {plan.size}")
     trace = ExecTrace()
     a, b = _residues(a, modulus), _residues(b, modulus)
-    if isinstance(plan, StandardLeaf):
-        trace.add(plan.size)
-        return matmul_mod(a, b, modulus), trace
     levels = _shallowest_leaf_depth(plan)
     out, _ = _run(plan, _to_layout(a, levels), _to_layout(b, levels),
                   (modulus - 1, modulus - 1), modulus, trace, a.size // 4, levels)
@@ -272,5 +263,7 @@ def execute(plan: RecursionPlan, a: Matrix, b: Matrix):
     definition-based product."""
     if a.n != b.n or a.n != plan.size:
         raise ValueError(f"plan size {plan.size} does not match matrices of size {a.n}, {b.n}")
+    if a.modulus != b.modulus:
+        raise ValueError(f"operand moduli differ: {a.modulus} and {b.modulus}")
     out, trace = execute_stacked(plan, a.data, b.data, a.modulus)
     return Matrix(out, a.modulus), trace

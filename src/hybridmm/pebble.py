@@ -39,22 +39,29 @@ current copy in slow memory, which is how spilled temporaries stay
 parsimonious).  A read value written back unused is reported once, at the
 write-back.
 
-Each of the two is one walker over a list of moves and records.  It first
-counts each template's records in the expansion.  A template with one
-record, such as the whole problem of a generated schedule, is walked in
-place, move by move, at the record's addresses.  For a template with two
-or more, at the first record it walks the template's body once, from an
-empty cache, and keeps a summary of what the body does to the memory
-around it: its counts and peak, its first internal fault, the slow words
-it reads before writing them, the words it leaves written, and its
-violations, some of which depend on the slow words it overwrites.  Every
-record of the template then applies that summary, with its addresses
-moved and its steps offset.  A record is walked move by move instead when
-it is met with a non-empty cache, when its template is not
-``summarizable`` at its bases or does not end with an empty cache (only a
-hand-edited template can do either), when it reads an undefined word, or
-when one of its writes overwrites a computed value never used.  So the
-answer is always the flat walk's.
+Each of the two is one walker over a list of moves and records, and both
+meet a record by one rule (``_Walk.record``).  A walker first counts each
+template's records in the expansion.  A record applies its template's
+summary, with the summary's addresses moved and its steps offset, when:
+
+- it is met with an empty cache;
+- its template has two or more records;
+- its template is ``summarizable`` at its bases;
+- the template's body, walked once from an empty cache with nothing known
+  around it, faults or ends with an empty cache; and
+- the walker's ``apply`` accepts the summary: ``simulate`` refuses a
+  record of a whole-schedule walk that reads an undefined word, and
+  ``check_parsimonious`` one whose write overwrites a computed value never
+  used.
+
+Any other record is walked move by move at its addresses, such as the
+whole problem of a generated schedule, whose template has one record.  A
+summary holds what the body does to the memory around it: its counts and
+peak, its first fault, the slow words it reads before writing them, the
+words it leaves written, and its violations, some of which depend on the
+slow words it overwrites.  It keeps each list of addresses with their
+intervals in the template (``_Addrs``), which a record's shifts move.  So
+the answer is always the flat walk's.
 
 ``check_parsimonious`` keeps each value as an int, indexing a bytearray of
 flags shared by its cache slot and its slow word: computed, consumed, used
@@ -133,12 +140,8 @@ class Template:
     and leaves an address outside every segment as it is.
 
     ``nested`` holds the template of each record in the body, in order.
-    The walkers summarize a template only if the expansion holds two or
-    more records of it; a summary of the body, walked at these addresses,
-    stands for a record only if the record moves nothing, or moving the
-    addresses keeps every word the body uses apart from every other
-    (``summarizable``).  A generated body qualifies; a hand-edited one may
-    not, and its records are walked move by move.
+    A generated body is ``summarizable`` at every record; a hand-edited one
+    may not be.
     """
 
     __slots__ = ("body", "segments", "lows", "nested", "length", "_bounds", "_order",
@@ -203,21 +206,27 @@ class Template:
         return (self.contained() and (not spans or spans[0][0] >= 0)
                 and all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])))
 
-    def intervals(self, addrs):
-        """The interval that holds each of ``addrs``, an index into ``shifts``."""
-        return list(map(partial(bisect_right, self._bounds), addrs))
-
     def shifts(self, bases):
-        """Per interval, how far a record with ``bases`` moves an address."""
+        """Per interval of ``_bounds``, how far a record with ``bases`` moves
+        an address."""
         sh = [0] * (len(self._bounds) + 1)
         for j, k in enumerate(self._order):
             sh[2 * j + 1] = bases[k] - self.lows[k]
         return sh
 
 
-def _moved(addrs, intervals, sh):
-    """``addrs`` moved by ``sh``, the shifts of a record, given their intervals."""
-    return map(add, addrs, map(sh.__getitem__, intervals))
+class _Addrs:
+    """Addresses of a template's body, each with the interval of the
+    template that holds it; ``at(sh)`` moves them by a record's shifts."""
+
+    __slots__ = ("addrs", "intervals")
+
+    def __init__(self, template, addrs):
+        self.addrs = list(addrs)
+        self.intervals = list(map(partial(bisect_right, template._bounds), self.addrs))
+
+    def at(self, sh):
+        return map(add, self.addrs, map(sh.__getitem__, self.intervals))
 
 
 def _entries_at(template, bases):
@@ -359,6 +368,44 @@ class _Fault(Exception):
         self.step, self.kind, self.msg, self.addr = step, kind, msg, addr
 
 
+class _Walk:
+    """What the two walkers share: ``counts``, each template's records in
+    the expansion; ``summaries``, each summarized template's summary, or
+    None if its body ends with a value cached; ``closed``, whether this
+    walks the whole schedule; and the record rule (``record``).  A walker
+    adds its per-move ``walk``, ``open`` (a fresh walk of a body), the
+    ``Summary`` made from that walk, and ``apply``."""
+
+    def __init__(self, summaries, counts, closed):
+        self.summaries, self.counts, self.closed = summaries, counts, closed
+
+    def record(self, template, bases, at, empty):
+        """Meet a record of ``template`` with ``bases`` at expanded step
+        ``at``, with an ``empty`` cache or not: apply the template's summary
+        if the module docstring's record rule allows, else walk the record."""
+        s = (self.summary(template)
+             if empty and self.counts[template] > 1 and template.summarizable(bases) else None)
+        if s is None or not self.apply(s, template.shifts(bases), at):
+            self.walk(_entries_at(template, bases), at)
+
+    def run(self, entries):
+        """Walk ``entries`` from step 0; returns the first ``_Fault``, or None."""
+        try:
+            self.walk(entries, 0)
+        except _Fault as exc:
+            return exc
+        return None
+
+    def summary(self, template):
+        summaries = self.summaries
+        if template not in summaries:
+            body = self.open()
+            fault = body.run(template.body)
+            summaries[template] = (self.Summary(template, body, fault)
+                                   if fault is not None or not body.cache else None)
+        return summaries[template]
+
+
 def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
     """Validate the schedule under cfg and return its I/O statistics.
 
@@ -373,11 +420,7 @@ def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
     entries = schedule.moves.entries
     walk = _SimWalk(cfg.M, cfg.B, set(schedule.layout.input_range()), {},
                     _record_counts(entries), closed=True)
-    fault = None
-    try:
-        walk.walk(entries, 0)
-    except _Fault as exc:
-        fault = exc
+    fault = walk.run(entries)
     # the walk reads on past an undefined word, so it is the first fault
     # when there is one; any later fault was found after it
     if walk.inputs:
@@ -401,40 +444,46 @@ def _operand_fault(op, y):
     return f"{name} needs a second operand", None
 
 
-class _SimWalk:
+class _SimSummary:
+    """What a body does under one cfg, walked with nothing known defined:
+    its counts and peak, its first fault, with the address it names in
+    ``fault_at``, the words it reads before writing them, and the words it
+    writes."""
+
+    __slots__ = ("reads", "writes", "computes", "peak", "fault", "fault_at", "inputs", "outputs")
+
+    def __init__(self, template, body, fault):
+        self.reads, self.writes, self.computes = body.reads, body.writes, body.computes
+        self.peak = body.peak
+        # the fault's step, kind and message, without its traceback's frames
+        self.fault = None if fault is None else (fault.step, fault.kind, fault.msg)
+        self.fault_at = _Addrs(template, [] if fault is None or fault.addr is None
+                               else [fault.addr])
+        inputs = [a for a, _ in body.inputs] + body.nested_inputs
+        self.inputs = _Addrs(template, inputs)
+        self.outputs = _Addrs(template, body.slow.difference(inputs))
+
+
+class _SimWalk(_Walk):
     """The state of one ``simulate`` walk: the words known defined in slow
-    memory, the cache, the counts, and ``inputs``, each ``(addr, step)`` of a
+    memory, the cache, the counts, ``inputs``, each ``(addr, step)`` of a
     first read of a word not known defined, in the order met, and
     ``nested_inputs``, the words its records read that it had not defined.
-    ``counts`` holds each template's records in the schedule's expansion;
-    a template with one record is walked in place, with no summary.
+    A closed walk knows every defined word: an input it meets is undefined."""
 
-    A walk of the whole schedule is ``closed``: it knows every defined word,
-    so an input it meets is undefined, and it walks a record that reads one
-    move by move, which finds the first such read in order."""
+    Summary = _SimSummary
 
     def __init__(self, m_cap, b_cap, slow, summaries, counts, closed=False):
+        super().__init__(summaries, counts, closed)  # summaries for one cfg
         self.m_cap, self.b_cap = m_cap, b_cap
         self.slow = slow
-        self.closed = closed
         self.cache = set()
         self.used = self.peak = self.reads = self.writes = self.computes = 0
         self.inputs = []
         self.nested_inputs = []
-        self.summaries = summaries  # template -> _SimSummary, for one cfg
-        self.counts = counts
 
-    def summary(self, template):
-        s = self.summaries.get(template)
-        if s is None:
-            body = _SimWalk(self.m_cap, self.b_cap, set(), self.summaries, self.counts)
-            fault = None
-            try:
-                body.walk(template.body, 0)
-            except _Fault as exc:
-                fault = exc
-            s = self.summaries[template] = _SimSummary(template, body, fault)
-        return s
+    def open(self):
+        return _SimWalk(self.m_cap, self.b_cap, set(), self.summaries, self.counts)
 
     def walk(self, entries, step0):
         """Walk ``entries`` from expanded step ``step0``; raises ``_Fault``."""
@@ -508,63 +557,37 @@ class _SimWalk:
                     slow_add(a)
                 writes += 1
             else:  # MV_REC
-                _, template, bases = mv
-                s = (self.summary(template)
-                     if not used and self.counts[template] > 1 and template.summarizable(bases)
-                     else None)
-                sh = missing = None
-                if s is not None and s.usable:
-                    sh = template.shifts(bases)
-                    missing = set(_moved(s.inputs, s.input_intervals, sh))
-                    missing -= slow
-                if sh is None or missing and self.closed:
-                    self.used, self.peak = used, peak
-                    self.reads, self.writes, self.computes = reads, writes, computes
-                    self.walk(_entries_at(template, bases), step + shift)
-                    used, peak = self.used, self.peak
-                    reads, writes, computes = self.reads, self.writes, self.computes
-                else:
-                    if missing:
-                        slow |= missing
-                        self.nested_inputs += missing
-                    if s.fault is not None:
-                        rel, kind, msg, addr, i = s.fault
-                        raise _Fault(step + shift + rel, kind, msg,
-                                     None if addr is None else addr + sh[i])
-                    slow.update(_moved(s.outputs, s.output_intervals, sh))
-                    reads += s.reads
-                    writes += s.writes
-                    computes += s.computes
-                    if s.peak > peak:
-                        peak = s.peak
-                shift += template.length - 1
+                self.used, self.peak = used, peak
+                self.reads, self.writes, self.computes = reads, writes, computes
+                self.record(mv[1], mv[2], step + shift, not used)
+                used, peak = self.used, self.peak
+                reads, writes, computes = self.reads, self.writes, self.computes
+                shift += mv[1].length - 1
         self.used, self.peak = used, peak
         self.reads, self.writes, self.computes = reads, writes, computes
 
-
-class _SimSummary:
-    """What a template's body does under one cfg, walked from an empty cache
-    and with nothing known defined: its counts and peak, its first fault,
-    the words it reads before writing them, and the words it writes.
-    Addresses are the body's own, each list of them with its intervals in
-    the template.  It stands for the body only at a record met with an empty
-    cache, and only if the body faults or ends with an empty cache."""
-
-    __slots__ = ("reads", "writes", "computes", "peak", "usable", "fault", "inputs",
-                 "input_intervals", "outputs", "output_intervals")
-
-    def __init__(self, template, body, fault):
-        self.reads, self.writes, self.computes = body.reads, body.writes, body.computes
-        self.peak = body.peak
-        self.usable = fault is not None or not body.used
-        self.fault = None
-        if fault is not None:
-            self.fault = (fault.step, fault.kind, fault.msg, fault.addr,
-                          None if fault.addr is None else template.intervals([fault.addr])[0])
-        self.inputs = [a for a, _ in body.inputs] + body.nested_inputs
-        self.input_intervals = template.intervals(self.inputs)
-        self.outputs = list(body.slow.difference(self.inputs))
-        self.output_intervals = template.intervals(self.outputs)
+    def apply(self, s, sh, at):
+        """Apply summary ``s`` at a record whose first step is ``at`` and
+        whose addresses move by ``sh``.  Returns False, having changed
+        nothing, when the walk is closed and the record reads an undefined
+        word, whose first read a walk move by move finds."""
+        slow = self.slow
+        missing = set(s.inputs.at(sh))
+        missing -= slow
+        if missing:
+            if self.closed:
+                return False
+            slow |= missing
+            self.nested_inputs += missing
+        if s.fault is not None:
+            rel, kind, msg = s.fault
+            raise _Fault(at + rel, kind, msg, next(s.fault_at.at(sh), None))
+        slow.update(s.outputs.at(sh))
+        self.reads += s.reads
+        self.writes += s.writes
+        self.computes += s.computes
+        self.peak = max(self.peak, s.peak)
+        return True
 
 
 @dataclass
@@ -581,6 +604,8 @@ class ParsimonyReport:
 
 # value flags of check_parsimonious
 _COMPUTED, _CONSUMED, _USED, _OUTER = 1, 2, 4, 8
+# keeps the flags a value of a body's own carries out of it
+_LOW_FLAGS = bytes(f & (_COMPUTED | _CONSUMED | _USED) for f in range(256))
 # violation codes; the last two are not violations for an output word
 _READ_UNUSED, _WRITTEN_UNUSED, _LEFT_MEMORY, _OVERWRITTEN = range(4)
 _REASONS = ("value read into cache at {} evicted/overwritten unused",
@@ -613,38 +638,53 @@ def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
                             if code < _LEFT_MEMORY or not out_lo <= addr < out_hi])
 
 
-class _ParsimonyWalk:
+class _ParsimonySummary:
+    """What a body does, walked with no value of the memory around it
+    known: its violations, as ``(step, code)`` with their addresses in
+    ``found_at``, its pending writes, the outer values it consumes, and the
+    words it leaves holding a value of its own, with their flags."""
+
+    __slots__ = ("found", "found_at", "pending", "consumed", "outputs", "out_flags")
+
+    def __init__(self, template, body, fault):
+        flags = body.flags
+        self.found = [(rel, code) for rel, code, _ in body.found]
+        self.found_at = _Addrs(template, [a for _, _, a in body.found])
+        self.pending = _Addrs(template, body.pending)
+        self.consumed = _Addrs(template, [a for a, v in body.outer.items()
+                                          if flags[v] & _CONSUMED])
+        # the words that hold a value of the body's own when it ends
+        own = dict(body.slow)
+        for a, v in body.outer.items():
+            if own[a] == v:
+                del own[a]
+        self.outputs = _Addrs(template, own)
+        self.out_flags = bytes(map(flags.__getitem__, own.values())).translate(_LOW_FLAGS)
+
+
+class _ParsimonyWalk(_Walk):
     """The state of one ``check_parsimonious`` walk: slow memory and the
     cache as address -> value maps; ``outer``, the value from outside the
     walk that each word read before it was written held; ``found``, each
     ``(step, code, addr)`` in the order met; and ``pending``, the words it
     writes over a value from outside it that it has not consumed, which is a
-    violation if that value was computed and never consumed before.
-    ``counts`` holds each template's records in the schedule's expansion;
-    a template with one record is walked in place, with no summary.
+    violation if that value was computed and never consumed before.  In a
+    closed walk the values from outside are the inputs, which nothing
+    computed, so its pending writes are never violations."""
 
-    A walk of the whole schedule is ``closed``: the values from outside it
-    are the inputs, which nothing computed, so its pending writes are
-    never violations."""
+    Summary = _ParsimonySummary
 
     def __init__(self, flags, summaries, counts, closed=False):
+        super().__init__(summaries, counts, closed)
         self.flags = flags  # value -> flags, for every walk of one check
-        self.closed = closed
         self.slow = {}
         self.cache = {}
         self.outer = {}
         self.found = []
         self.pending = []
-        self.summaries = summaries  # template -> _ParsimonySummary
-        self.counts = counts
 
-    def summary(self, template):
-        s = self.summaries.get(template)
-        if s is None:
-            body = _ParsimonyWalk(self.flags, self.summaries, self.counts)
-            body.walk(template.body, 0)
-            s = self.summaries[template] = _ParsimonySummary(template, body)
-        return s
+    def open(self):
+        return _ParsimonyWalk(self.flags, self.summaries, self.counts)
 
     def outer_value(self, addr):
         v = self.slow[addr] = self.outer[addr] = len(self.flags)
@@ -733,14 +773,8 @@ class _ParsimonyWalk:
                         report((step + shift, _OVERWRITTEN, a))
                     slow[a] = v
             else:  # MV_REC
-                _, template, bases = mv
-                s = (self.summary(template)
-                     if not cache and self.counts[template] > 1 and template.summarizable(bases)
-                     else None)
-                if (s is None or not s.usable
-                        or not self.apply(s, template.shifts(bases), step + shift)):
-                    self.walk(_entries_at(template, bases), step + shift)
-                shift += template.length - 1
+                self.record(mv[1], mv[2], step + shift, not cache)
+                shift += mv[1].length - 1
 
     def apply(self, s, sh, at):
         """Apply summary ``s`` at a record whose first step is ``at`` and
@@ -748,7 +782,7 @@ class _ParsimonyWalk:
         nothing, when one of its pending writes is a violation here, whose
         step and order a walk move by move finds."""
         flags, slow, slow_get = self.flags, self.slow, self.slow.get
-        ys = list(_moved(s.pending, s.pending_intervals, sh))
+        ys = list(s.pending.at(sh))
         if not slow.keys().isdisjoint(ys):
             kept = []
             for y in ys:
@@ -763,52 +797,16 @@ class _ParsimonyWalk:
             ys = kept
         if not self.closed:
             self.pending += ys
-        report = self.found.append
-        for rel, code, a, i in s.found:
-            report((at + rel, code, a + sh[i]))
-        for a in _moved(s.consumed, s.consumed_intervals, sh):
+        self.found += [(at + rel, code, a) for (rel, code), a in zip(s.found, s.found_at.at(sh))]
+        for a in s.consumed.at(sh):
             v = slow_get(a)
             if v is None:
                 v = self.outer_value(a)
             flags[v] |= _CONSUMED
         first = len(flags)
         flags += s.out_flags
-        slow.update(zip(_moved(s.outputs, s.output_intervals, sh), count(first)))
+        slow.update(zip(s.outputs.at(sh), count(first)))
         return True
-
-
-class _ParsimonySummary:
-    """What a template's body does, walked from an empty cache and with no
-    value of the memory around it known: its violations, its pending
-    writes, the outer values it consumes, and the words it leaves holding a
-    value of its own, with their flags.  Addresses are the body's own, each
-    with its interval in the template.  It stands for the body only at a
-    record met with an empty cache, and only if the body ends with an empty
-    cache."""
-
-    __slots__ = ("usable", "found", "pending", "pending_intervals", "consumed",
-                 "consumed_intervals", "outputs", "output_intervals", "out_flags")
-
-    def __init__(self, template, body):
-        flags, bounds = body.flags, template._bounds
-        self.usable = not body.cache
-        self.found = [(rel, code, a, bisect_right(bounds, a)) for rel, code, a in body.found]
-        self.pending = body.pending
-        self.pending_intervals = template.intervals(self.pending)
-        self.consumed = [a for a, v in body.outer.items() if flags[v] & _CONSUMED]
-        self.consumed_intervals = template.intervals(self.consumed)
-        # the words that hold a value of the body's own when it ends
-        own = dict(body.slow)
-        for a, v in body.outer.items():
-            if own[a] == v:
-                del own[a]
-        self.outputs = list(own)
-        self.output_intervals = template.intervals(self.outputs)
-        self.out_flags = bytes(map(flags.__getitem__, own.values())).translate(_LOW_FLAGS)
-
-
-# keeps the flags a value of a body's own carries out of it
-_LOW_FLAGS = bytes(f & (_COMPUTED | _CONSUMED | _USED) for f in range(256))
 
 
 def replay_values(schedule: Schedule, a: Matrix, b: Matrix) -> Matrix:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridmm import cli
+from hybridmm import cdag, cli
 from hybridmm.cdag import build_cdag
 from hybridmm.cli import ConfigError, main, parse_sweep_config
 from hybridmm.pebble import IoStats, MachineConfig, ParsimonyReport, dump_schedule, simulate
@@ -85,6 +85,17 @@ def test_console_script(capsys):
 def test_verify_skips_dominator_checks(capsys):
     assert main(["verify", "--max-vertices", "0"]) == 0
     assert "SKIPPED" in capsys.readouterr().out
+
+
+def test_verify_fails_on_a_small_dominator(monkeypatch, capsys):
+    # with every dominator found empty, the Type 2 checks (fast(2)) and the
+    # Type 1 checks (standard(4) at M=1) record failures, and verify fails
+    monkeypatch.setattr(cdag, "min_dominator_size", lambda *args: 0)
+    assert main(["verify", "--max-vertices", "600"]) == 1
+    out = capsys.readouterr().out
+    assert "dominator fast(2) M=1: FAIL" in out
+    assert "dominator standard(4) M=1: FAIL" in out
+    assert out.endswith("verify: FAIL\n")
 
 
 def test_verify_negative_max_vertices_exits_2(capsys):

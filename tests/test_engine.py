@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import hybridmm.engine
-from hybridmm.engine import (_from_layout, _quads, _shallowest_leaf_depth, _to_layout, _within,
-                             execute, execute_stacked)
+from hybridmm.engine import (_from_layout, _shallowest_leaf_depth, _to_layout, _within, execute,
+                             execute_stacked)
 from hybridmm.plans import (STRASSEN, WINOGRAD, FastNode, FastScheme, StandardLeaf,
                             StandardVariant, plan_stats, random_plan, uniform_plan)
 from hybridmm.ringmat import (BUDGET, DEFAULT_MODULUS, Matrix, _balanced_bound, _lift, _reduce,
@@ -67,6 +67,36 @@ def test_size_mismatch_errors():
         execute(uniform_plan(4, 1), Matrix.random(8, rng), Matrix.random(8, rng))
     with pytest.raises(ValueError):
         execute(StandardLeaf(IT, 4), Matrix.random(4, rng), Matrix.random(2, rng))
+    with pytest.raises(ValueError, match="moduli differ"):
+        execute(uniform_plan(2, 1), Matrix.random(2, rng, 11), Matrix.random(2, rng, 13))
+    # execute_stacked checks shapes itself
+    a, b = _operands(4, (4, 4))
+    for plan, x, y in ((uniform_plan(4, 1), a, b[:2, :2]), (StandardLeaf(IT, 2), a, b)):
+        with pytest.raises(ValueError, match="does not match plan size"):
+            execute_stacked(plan, x, y)
+
+
+@pytest.mark.parametrize("plan,runs", [(StandardLeaf(IT, 1), [(1, 1)]),
+                                       (StandardLeaf(BR, 4), [(4, 1)]),
+                                       (uniform_plan(4, 1), [(1, 49)])],
+                         ids=["leaf1", "leaf4", "uniform-n4-n0_1"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("wide", [False, True], ids=["residues", "wide"])
+def test_every_root_returns_int64_residues(plan, runs, dtype, wide):
+    # a leaf root takes the walk a fast root takes: operands of either
+    # dtype, negative or >= p, are left as they are, and the product is
+    # int64 in [0, p)
+    rng = np.random.default_rng(plan.size)
+    p = DEFAULT_MODULUS
+    lo, hi = (-2 * p, 2 * p) if wide else (0, p)
+    a, b = (rng.integers(lo, hi, size=(2, plan.size, plan.size)).astype(dtype) for _ in "ab")
+    a0, b0 = a.copy(), b.copy()
+    out, trace = execute_stacked(plan, a, b)
+    assert out.dtype == np.int64
+    want = matmul_pyint(a0.astype(np.int64), b0.astype(np.int64), p)
+    assert np.array_equal(out, want)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    assert trace.leaf_runs == runs
 
 
 def test_trace_leaf_count_matches_plan_stats():
@@ -353,8 +383,11 @@ def test_layout_round_trip(stack, levels):
     assert y.shape == (4,) * levels + stack + (16 >> levels, 16 >> levels)
     assert np.array_equal(_from_layout(y, levels), x)
     if levels:
-        # entry q of the layout is quadrant q, itself laid out one level less
-        for q, quad in enumerate(_quads(x)):
+        # entry q of the layout is quadrant q (top left, top right, bottom
+        # left, bottom right), itself laid out one level less
+        h = 8
+        quads = (x[..., :h, :h], x[..., :h, h:], x[..., h:, :h], x[..., h:, h:])
+        for q, quad in enumerate(quads):
             assert np.array_equal(y[q], _to_layout(quad, levels - 1))
 
 

@@ -62,6 +62,20 @@ def test_naive_2x2_counts():
     assert replay_values(sched, a, b) == mat_mul_naive(a, b)
 
 
+def test_replay_refuses_matrices_of_another_size():
+    rng = np.random.default_rng(8)
+    a, b = Matrix.random(4, rng), Matrix.random(4, rng)
+    with pytest.raises(ValueError, match="matrix size does not match schedule layout"):
+        replay_values(naive_2x2_schedule(), a, b)
+
+
+def test_template_refuses_overlapping_segments():
+    with pytest.raises(ValueError, match="template segments overlap"):
+        Template([], ((0, 2), (1, 3), (4, 5), (5, 5)))
+    # empty segments overlap nothing
+    assert Template([], ((0, 2), (2, 2), (2, 4), (3, 3))).lows == (0, 2, 2, 3)
+
+
 def test_cache_overflow_on_tiny_cache():
     sched = naive_2x2_schedule()
     with pytest.raises(ScheduleError) as exc:

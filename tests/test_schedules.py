@@ -8,7 +8,7 @@ import pytest
 
 from hybridmm import pebble, schedules
 from hybridmm.bounds import sequential_bound
-from hybridmm.pebble import (MV_C, MV_E, MV_REC, IoStats, MachineConfig, Moves, Schedule,
+from hybridmm.pebble import (MV_C, MV_E, MV_REC, OP_NEG, IoStats, MachineConfig, Moves, Schedule,
                              ScheduleError, Template, check_parsimonious, dump_schedule,
                              replay_values, simulate)
 from hybridmm.plans import (STRASSEN, WINOGRAD, StandardLeaf, StandardVariant,
@@ -359,6 +359,17 @@ def test_replayed_subtrees_match_fresh_generation(monkeypatch, plan, m, b):
         schedules._gen_node(fresh, node, *views)
         assert list(Moves(fresh.moves)) == list(Moves([record]))
         assert fresh.temp_ptr == temp_end
+
+
+def test_build_operand_negates_a_dying_source_in_place():
+    # a -1 term alone over a source that dies here is one in-place ``neg``
+    em = schedules._Emitter(MachineConfig(3, 1), 16)
+    quads = schedules.View(8, 2, 2, 2).quadrants()
+    em.resident = {8}
+    block, owned = schedules._build_operand(em, (-1, 0, 0, 0), quads, {0})
+    assert (block, owned) == (quads[0], True)
+    assert em.moves == [(MV_C, 8, OP_NEG, 8, -1)]
+    assert em.resident == {8} and em.temp_ptr == 16
 
 
 def _walks(sched, machines):
