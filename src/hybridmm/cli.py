@@ -230,8 +230,8 @@ def cmd_bounds(args) -> int:
     plan = _load_plan(args.plan)
     rep = sequential_bound(plan, plan.size, args.M, args.B, threshold=args.msp_threshold)
     out = rep.to_dict()
-    if args.P:
-        bm = args.Bm or 1
+    if args.P is not None:
+        bm = 1 if args.Bm is None else args.Bm
         par = parallel_bound(plan, plan.size, args.M, bm, args.P, threshold=args.msp_threshold)
         out["parallel_bound"] = float(par)
         out["P"] = args.P
@@ -240,12 +240,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# Generating, simulating and checking a schedule costs about 25 bytes a
-# move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 150 MB peak
-# RSS; n=128, n0=1, M=12: 19,744,108 moves, 474 MB).  The schedule stores
-# about 6 % of its moves, so most of that is the walks' maps of the words
-# written.  This many moves peak near 0.8 GB, under an eighth of a 7 GB
-# machine.
+# Generating, simulating and checking a schedule costs about 17 to 21 bytes
+# a move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 124 MB peak
+# RSS; n=128, n0=1, M=12: 19,744,108 moves, 362 MB).  The schedule stores
+# under 0.2 % of its moves, so nearly all of that is the walks' maps of the
+# words written.  This many moves peak near 0.7 GB, under an eighth of a
+# 7 GB machine.
 MAX_SIMULATE_MOVES = 30_000_000
 
 
@@ -499,8 +499,8 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--plan", required=True)
     b.add_argument("--M", type=int, required=True)
     b.add_argument("--B", type=int, default=1)
-    b.add_argument("--P", type=int, default=0)
-    b.add_argument("--Bm", type=int, default=0)
+    b.add_argument("--P", type=int)
+    b.add_argument("--Bm", type=int)
     b.add_argument("--msp-threshold", type=float, default=None,
                    help="override the 2*sqrt(M) MSP size threshold")
     b.set_defaults(func=cmd_bounds)

@@ -21,11 +21,13 @@ start in slow memory; the cache is empty.  Each R/W move of k consecutive
 words counts as one I/O operation.
 
 A schedule is stored as moves plus records.  A record ``(MV_REC, template,
-bases)`` stands for the moves of a ``Template``, a sub-problem that the
-schedule repeats: the template names four disjoint address segments (the
-spans of its a, b and c operands and its temporaries), and a record moves
-every address in segment k by ``bases[k]`` minus the segment's start.  A
-template's body holds moves and records of its own, so records nest.
+bases)`` stands for the moves of a ``Template``, a step that the schedule
+repeats: the template names any number of disjoint address segments, and a
+record moves every address in segment k by ``bases[k]`` minus the
+segment's start.  A generated sub-problem has four (the spans of its a, b
+and c operands and its temporaries), a streamed row step one per source
+and destination row run and an empty one for temporaries.  A template's
+body holds moves and records of its own, so records nest.
 ``Schedule.moves`` reads as the flat sequence of moves that the records
 expand to, and every step number, in an error or a violation, counts that
 expansion.  A hand-built or parsed schedule has no records.
@@ -131,13 +133,13 @@ class MemoryLayout:
 
 
 class Template:
-    """The moves of one sub-problem, which records replay.
+    """The moves of one repeated step, which records replay.
 
     ``body`` is a list of moves and records, with the addresses of the call
-    that generated it, whose four disjoint segments are ``segments``:
-    ``(lo, hi)`` for the a, b and c operands' spans and the temporaries.  A
-    record with ``bases`` moves an address in segment k by ``bases[k] - lo``
-    and leaves an address outside every segment as it is.
+    that generated it, whose disjoint segments are ``segments``, each
+    ``(lo, hi)``; an empty one (``lo == hi``) moves nothing.  A record with
+    ``bases`` moves an address in segment k by ``bases[k] - lo`` and leaves
+    an address outside every segment as it is.
 
     ``nested`` holds the template of each record in the body, in order.
     A generated body is ``summarizable`` at every record; a hand-edited one

@@ -64,16 +64,27 @@ streamed sub-problems are translated copies of one another.  ``_gen_node``
 therefore generates each distinct sub-problem once per generation, as a
 ``pebble.Template``, and stands for it by one record, at that call and at
 every later one.  The memo key is the node's identity and the strides of
-its a, b and c views.  A record gives the bases of the template's four
-segments at its call: the a, b and c views' spans and the temporaries the
+its a, b and c views.  A record gives the bases of the template's segments
+at its call: the a, b and c views' spans and the temporaries the
 sub-problem allocated, four disjoint ranges.  Expanding it moves each
 address by the offset of its segment (see ``pebble``).  Two facts make a
-record exact, and ``_gen_node`` asserts both: the cache is empty at every
-entry and exit, and no ``attempt`` is open, so a replay needs no budget
-check and is never rolled back.  When a sub-problem ends, its moves leave
-the emitter's list for its template's body, so a schedule is one record of
-the whole problem, and each body holds the moves its own call emitted and
-the records of its sub-problems.
+record exact, and ``_record``, the one place that makes records, asserts
+both: the cache is empty at every entry and exit, and no ``attempt`` is
+open, so a replay needs no budget check and is never rolled back.  When a
+step ends, its moves leave the emitter's list for its template's body, so
+a schedule is one record of the whole problem, and each body holds the
+moves its own call emitted and the records of its steps.
+
+The same rule applies one level lower, to ``_stream_combine``'s steps: a
+row segment of the segmented pass, or one destination row of the
+word-by-word pass.  Each starts and ends with an empty cache and uses one
+contiguous row run of each source and destination, whatever the views'
+strides, so its template's segments are those runs (up to 4 + 7) and an
+empty temporaries one.  Its key is the coefficient rows (one row, in the
+word-by-word pass) and the run length, so one template serves every pass
+and level that shares them.  A decode that consumes a fused child's
+product left in cache starts with that product resident, so its steps
+stay flat moves.
 """
 
 from __future__ import annotations
@@ -606,7 +617,10 @@ def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
     and are consumed without a read.  When a segment of every streamed
     source plus one destination segment fits beside them, rows are streamed
     in segments; otherwise (a tiny cache, which callers only reach with
-    nothing resident) each destination word is built by itself.
+    nothing resident) each destination word is built by itself, one
+    destination after another.  Each step, a row segment or one
+    destination's row, is one record when no source is resident: it then
+    starts and ends with an empty cache.
     """
     h = dsts[0].rows
     used = sorted({j for row in rows for j, c in enumerate(row) if c})
@@ -615,35 +629,61 @@ def _stream_combine(em, rows, srcs, dsts, resident=frozenset()):
     terms = [[(c, j) for j, c in enumerate(row) if c] for row in rows]
     if em.M >= resident_words + len(streamed) + 2:
         seg_cap = (em.M - 1 - resident_words) // (len(streamed) + 1)
+        key = tuple(map(tuple, rows))
         for r in range(h):
             for s0 in range(0, h, seg_cap):
                 seg = min(seg_cap, h - s0)
-                for j in streamed:
-                    em.read_run(srcs[j].addr(r, s0), seg)
-                for dst, dst_terms in zip(dsts, terms):
-                    dbase = dst.addr(r, s0)
-                    for w in range(seg):
-                        _emit_combo_word(em, dbase + w,
-                                         [(c, srcs[j].addr(r, s0 + w)) for c, j in dst_terms])
-                    em.flush(dbase, seg)
-                for j in used:
-                    em.evict_run(srcs[j].addr(r, s0), seg)
+                src_at = {j: srcs[j].addr(r, s0) for j in used}
+                dst_at = [dst.addr(r, s0) for dst in dsts]
+                if resident:
+                    _combine_segment(em, terms, src_at, dst_at, seg, resident)
+                else:
+                    _record(em, (key, seg), [(a, a + seg) for a in (*src_at.values(), *dst_at)],
+                            _combine_segment, terms, src_at, dst_at, seg, resident)
     else:
-        for dst, dst_terms in zip(dsts, terms):
-            ops = [(k == 0, _TERM_OP[c, k == 0], srcs[j]) for k, (c, j) in enumerate(dst_terms)]
+        for dst, row, dst_terms in zip(dsts, rows, terms):
+            # one row, where the segmented steps' keys hold a tuple of rows
+            key = (tuple(row), h)
             for r in range(h):
-                for w in range(h):
-                    d = dst.addr(r, w)
-                    for first, op, src in ops:
-                        srcw = src.addr(r, w)
-                        em.read_run(srcw, 1)
-                        if first:
-                            em.compute(d, op, srcw)
-                        else:
-                            em.compute(d, op, d, srcw)
-                        em.evict(srcw)
-                    em.write_run(d, 1)
-                    em.evict(d)
+                ops = [(k == 0, _TERM_OP[c, k == 0], srcs[j].addr(r, 0))
+                       for k, (c, j) in enumerate(dst_terms)]
+                d = dst.addr(r, 0)
+                _record(em, key, [(a, a + h) for a in (*(s for _, _, s in ops), d)],
+                        _combine_row, ops, d, h)
+
+
+def _combine_segment(em, terms, src_at, dst_at, seg, resident):
+    """One segmented step of ``_stream_combine``: read the run of ``seg``
+    words at ``src_at[j]`` of each source not in ``resident``, build each
+    destination's run at its ``dst_at`` and flush it, then evict the
+    sources' runs."""
+    for j, a in src_at.items():
+        if j not in resident:
+            em.read_run(a, seg)
+    for d, dst_terms in zip(dst_at, terms):
+        for w in range(seg):
+            _emit_combo_word(em, d + w, [(c, src_at[j] + w) for c, j in dst_terms])
+        em.flush(d, seg)
+    for a in src_at.values():
+        em.evict_run(a, seg)
+
+
+def _combine_row(em, ops, d, h):
+    """One word-by-word step of ``_stream_combine``: the ``h`` words of one
+    destination row at ``d``, each built from its ``(first, op, start)``
+    source terms one read at a time, then written back and evicted."""
+    for w in range(h):
+        dw = d + w
+        for first, op, s in ops:
+            sw = s + w
+            em.read_run(sw, 1)
+            if first:
+                em.compute(dw, op, sw)
+            else:
+                em.compute(dw, op, dw, sw)
+            em.evict(sw)
+        em.write_run(dw, 1)
+        em.evict(dw)
 
 
 def _stream_fast(em, node, av, bv, cv):
@@ -713,31 +753,45 @@ def _read_incache(em, node, av, bv, cv):
     _incache_node(em, node, av, bv, cv, write_out=True, own_a=True, own_b=True)
 
 
-def _gen_node(em, node, av, bv, cv):
-    # the cache is empty and no attempt is open at every entry, so the
-    # moves depend only on the node, the views' strides and the addresses
+def _record(em, key, spans, gen, *args):
+    """Append one record of the template that ``key`` names, generated
+    first by ``gen(em, *args)`` if this generation has none yet.
+
+    ``spans`` are the ``(lo, hi)`` of the disjoint runs of slow memory that
+    the moves use, and the temporaries ``gen`` allocates are one more
+    segment.  The cache is empty and no ``attempt`` is open at entry and
+    exit, so the moves depend only on ``key`` and the segments' places, and
+    a replay needs no budget check and is never rolled back.
+    """
     assert not em.resident and not em.attempts
-    views = (av, bv, cv)
-    key = (id(node), av.stride, bv.stride, cv.stride)
     temp_lo = em.temp_ptr
     template = em.templates.get(key)
     if template is None:
         start = len(em.moves)
-        if isinstance(node, StandardLeaf):
-            _blocked(em, av, bv, cv)
-        elif not em.attempt(_read_incache, em, node, av, bv, cv):
-            _stream_fast(em, node, av, bv, cv)
+        gen(em, *args)
         assert not em.resident
-        # every view is an input, the output or a temporary allocated before
-        # the call, so the four segments are disjoint
-        segments = tuple((v.base, v.base + (v.rows - 1) * v.stride + v.cols)
-                         for v in views) + ((temp_lo, em.temp_ptr),)
-        template = em.templates[key] = Template(em.moves[start:], segments)
+        template = em.templates[key] = Template(em.moves[start:],
+                                                (*spans, (temp_lo, em.temp_ptr)))
         del em.moves[start:]
     else:
-        lo, hi = template.segments[3]
+        lo, hi = template.segments[-1]
         em.temp_ptr += hi - lo
-    em.moves.append((MV_REC, template, (av.base, bv.base, cv.base, temp_lo)))
+    em.moves.append((MV_REC, template, (*(lo for lo, _ in spans), temp_lo)))
+
+
+def _gen_node(em, node, av, bv, cv):
+    # every view is an input, the output or a temporary allocated before the
+    # call, so their spans are disjoint
+    _record(em, (id(node), av.stride, bv.stride, cv.stride),
+            [(v.base, v.base + (v.rows - 1) * v.stride + v.cols) for v in (av, bv, cv)],
+            _node_moves, node, av, bv, cv)
+
+
+def _node_moves(em, node, av, bv, cv):
+    if isinstance(node, StandardLeaf):
+        _blocked(em, av, bv, cv)
+    elif not em.attempt(_read_incache, em, node, av, bv, cv):
+        _stream_fast(em, node, av, bv, cv)
 
 
 def _generate(plan: RecursionPlan, cfg: MachineConfig, kind: str) -> Schedule:

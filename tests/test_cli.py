@@ -202,6 +202,24 @@ def test_bounds_with_parallel(plan_file, capsys):
     assert data["parallel_bound"] == pytest.approx(99.8097, abs=1e-3)
 
 
+@pytest.mark.parametrize("flags", [["--P", "0"], ["--P", "-2"], ["--P", "4", "--Bm", "0"],
+                                   ["--P", "4", "--Bm", "-1"]],
+                         ids=["P0", "P-2", "Bm0", "Bm-1"])
+def test_bounds_parallel_flags_below_one_exit_2(plan_file, capsys, flags):
+    # an explicit 0 is refused like any other value below 1, not read as
+    # "no parallel bound" or as Bm=1
+    assert main(["bounds", "--plan", plan_file, "--M", "4"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "p and bm must be >= 1" in captured.err
+
+
+def test_bounds_parallel_bm_defaults_to_1(plan_file, capsys):
+    for extra, bm in (([], 1), (["--Bm", "2"], 2)):
+        assert main(["bounds", "--plan", plan_file, "--M", "4", "--P", "4"] + extra) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["P"], data["Bm"]) == (4, bm) and data["parallel_bound"] > 0
+
+
 def test_bounds_msp_threshold(plan_file, capsys):
     # at threshold 9 the size-8 leaves drop out of Type 1 and the root,
     # whose children now fall below it, is the one Type 2 MSP

@@ -432,6 +432,54 @@ def test_single_record_walked_in_place_at_moved_bases(monkeypatch, summary_spy, 
             simulate(flat, MachineConfig(3, 2))
 
 
+# builds two one-word destinations from three one-word sources, one read at a
+# time, as a streamed row step does: five segments and an empty temporary one
+_COMBINES = Template([(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_E, 0), (MV_R, 4, 1),
+                      (MV_C, 12, OP_ADD, 12, 4), (MV_E, 4), (MV_W, 12, 1), (MV_E, 12),
+                      (MV_R, 2, 1), (MV_C, 13, OP_NEG, 2, -1), (MV_E, 2), (MV_R, 0, 1),
+                      (MV_C, 13, OP_SUB, 13, 0), (MV_E, 0), (MV_W, 13, 1), (MV_E, 13)],
+                     ((0, 1), (4, 5), (2, 3), (12, 13), (13, 14), (14, 14)))
+
+
+@pytest.mark.parametrize("entries,outcome,violations,walked", [
+    # each record moves its five segments by five different shifts
+    ([_record(_COMBINES, 0, 4, 2, 12, 13, 14), _record(_COMBINES, 1, 6, 3, 9, 15, 16),
+      _record(_COMBINES, 3, 5, 1, 17, 8, 18)],
+     IoStats(12, 6, 2, 12), [], set()),
+    # the second record swaps the destinations onto the first one's words,
+    # which hold computed values never used: simulate applies its summary,
+    # check_parsimonious walks it move by move
+    ([_record(_COMBINES, 0, 4, 2, 12, 13, 14), _record(_COMBINES, 1, 5, 3, 13, 12, 16)],
+     IoStats(8, 4, 2, 8), [(22, "computed value at 13 overwritten in slow memory unused"),
+                           (30, "computed value at 12 overwritten in slow memory unused")],
+     {(1, 5, 3, 13, 12, 16)}),
+    # the second record moves two sources onto one word, and a destination
+    # onto a source
+    ([_record(_COMBINES, 0, 4, 2, 12, 13, 14), _record(_COMBINES, 1, 5, 1, 16, 17, 18),
+      _record(_COMBINES, 3, 7, 6, 20, 7, 21)],
+     IoStats(12, 6, 2, 12), [], {(1, 5, 1, 16, 17, 18), (3, 7, 6, 20, 7, 21)}),
+], ids=["shifted", "swapped-overwrites", "segments-overlap"])
+def test_records_of_many_segments(monkeypatch, summary_spy, entries, outcome, violations, walked):
+    # a template may have any number of segments; a record whose moved
+    # segments are disjoint applies the summary, any other is walked move by
+    # move, and either way the walk is the flat one
+    moved = set()
+    real_entries_at = pebble._entries_at
+
+    def entries_at(template, bases):
+        moved.add(bases)
+        return real_entries_at(template, bases)
+
+    sched = Schedule(Moves(entries), MemoryLayout(2))
+    flat = Schedule(list(sched.moves), sched.layout)
+    monkeypatch.setattr(pebble, "_entries_at", entries_at)
+    walks = [(simulate(s, MachineConfig(3, 1)), check_parsimonious(s).violations)
+             for s in (sched, flat)]
+    assert walks[0] == walks[1] == (outcome, violations)
+    assert moved == walked
+    assert all(set(got) == {_COMBINES} for got in summary_spy.values())
+
+
 def _one_move_mutants(moves, rng, count):
     """Schedules that drop, duplicate or swap one move of ``moves``; most are
     illegal, which ``check_parsimonious`` must survive."""

@@ -361,6 +361,82 @@ def test_replayed_subtrees_match_fresh_generation(monkeypatch, plan, m, b):
         assert fresh.temp_ptr == temp_end
 
 
+@pytest.mark.parametrize("plan,m,b,steps", [
+    (uniform_plan(16, 2, STRASSEN), 3, 4, {"_combine_row"}),
+    (uniform_plan(8, 1, WINOGRAD), 3, 1, {"_combine_row"}),
+    (uniform_plan(16, 2, WINOGRAD), 20, 3, {"_combine_segment"}),
+    (uniform_plan(16, 4, STRASSEN), 48, 1, {"_combine_segment"}),
+    (random_plan(32, 0.7, seed=1, scheme=WINOGRAD), 20, 3, {"_combine_segment"}),
+    (uniform_plan(16, 1, STRASSEN), 8, 2, {"_combine_segment", "_combine_row"}),
+], ids=["strassen-n16-n0_2-M3-B4", "winograd-n8-n0_1-M3-B1", "winograd-n16-n0_2-M20-B3",
+        "strassen-n16-n0_4-M48-B1", "random-winograd-n32-M20-B3", "strassen-n16-n0_1-M8-B2"])
+def test_row_records_match_fresh_generation(monkeypatch, plan, m, b, steps):
+    # every streamed row step's record expands to the moves that the step
+    # emits on a fresh emitter, which keeps no template; the M=3 cases take
+    # the one-word-at-a-time branch, the others the segmented one
+    hits = []
+    real_record = schedules._record
+
+    def record(em, key, spans, gen, *args):
+        temp_ptr, replay = em.temp_ptr, key in em.templates
+        real_record(em, key, spans, gen, *args)
+        if gen is not schedules._node_moves:
+            hits.append((gen, args, temp_ptr, em.moves[-1], replay))
+
+    monkeypatch.setattr(schedules, "_record", record)
+    cfg = MachineConfig(m, b)
+    gen_hybrid_schedule(plan, cfg)
+    monkeypatch.undo()
+    assert {gen.__name__ for gen, *_ in hits} == steps
+    assert sum(replay for *_, replay in hits) > len(hits) // 2
+    for gen, args, temp_ptr, rec, replay in hits:
+        assert rec[0] == MV_REC and (rec[2] != rec[1].lows) == replay
+        fresh = schedules._Emitter(cfg, temp_ptr)
+        fresh.templates = _NoTemplates()
+        gen(fresh, *args)
+        assert not fresh.resident and fresh.temp_ptr == temp_ptr
+        assert fresh.moves == list(Moves([rec]))
+
+
+def test_resident_decode_rows_stay_flat(monkeypatch):
+    # a decode that consumes a fused child's product left in cache starts
+    # with that product resident, so its row steps are emitted move by move
+    flat = []
+    real_combine = schedules._stream_combine
+
+    def stream_combine(em, rows, srcs, dsts, resident=frozenset()):
+        start = len(em.moves)
+        real_combine(em, rows, srcs, dsts, resident)
+        if resident:
+            flat.append(em.moves[start:])
+
+    monkeypatch.setattr(schedules, "_stream_combine", stream_combine)
+    for scheme, m in ((STRASSEN, 48), (WINOGRAD, 30)):
+        flat.clear()
+        sched = gen_hybrid_schedule(uniform_plan(16, 2, scheme), MachineConfig(m, 1))
+        assert flat, scheme.id
+        assert all(moves and not any(mv[0] == MV_REC for mv in moves) for moves in flat)
+        run(sched, MachineConfig(m, 1))
+
+
+def _stored(entries):
+    """How many entries the distinct templates that ``entries`` record
+    store in their bodies."""
+    return sum(len(t.body) for t in _templates(entries))
+
+
+@pytest.mark.parametrize("scheme,n,n0,m,cap", [
+    (STRASSEN, 64, 1, 3, 9_000),
+    (STRASSEN, 32, 4, 48, 14_000),
+    (WINOGRAD, 32, 2, 48, 16_000),
+], ids=["strassen-n64-n0_1-M3", "strassen-n32-n0_4-M48", "winograd-n32-n0_2-M48"])
+def test_stored_entries_capped(scheme, n, n0, m, cap):
+    # records of row steps and sub-problems keep the stored schedule small:
+    # 8,576, 13,457 and 15,134 entries for 4.54M, 177K and 251K moves
+    sched = gen_hybrid_schedule(uniform_plan(n, n0, scheme), MachineConfig(m, 1))
+    assert _stored(sched.moves.entries) <= cap < len(sched.moves)
+
+
 def test_build_operand_negates_a_dying_source_in_place():
     # a -1 term alone over a source that dies here is one in-place ``neg``
     em = schedules._Emitter(MachineConfig(3, 1), 16)
@@ -454,20 +530,23 @@ def _edit_template(sched, target, body):
     return Schedule(Moves(rebuilt(sched.moves.entries)), sched.layout), new[target]
 
 
+# the moves an edit may pick: any move, or, to drop one, an eviction
+_EDITABLE = {False: lambda mv: mv[0] != MV_REC, True: lambda mv: mv[0] == MV_E}
+
+
 def _template_mutants(sched, rng, count):
     """Schedules, each with its edited template, that drop, duplicate, swap
     or re-address one move in the body of a template recorded more than
     once; one edit in five drops an eviction, which leaves a word cached
-    when the body ends."""
-    templates = [t for t, uses in _templates(sched.moves.entries).items() if uses > 1]
+    when the body ends.  An edit draws its template from those whose body
+    holds a move of the kind it edits, since a body may be records only."""
+    repeated = [t for t, uses in _templates(sched.moves.entries).items() if uses > 1]
     for _ in range(count):
-        t = rng.choice(templates)
-        body = list(t.body)
-        moves = [i for i, mv in enumerate(body) if mv[0] != MV_REC]
         kind = rng.randrange(5)
-        if kind == 4:
-            moves = [i for i in moves if body[i][0] == MV_E]
-        i = rng.choice(moves)
+        wanted = _EDITABLE[kind == 4]
+        t = rng.choice([t for t in repeated if any(map(wanted, t.body))])
+        body = list(t.body)
+        i = rng.choice([i for i, mv in enumerate(body) if wanted(mv)])
         if kind == 0 or kind == 4:
             del body[i]
         elif kind == 1:
