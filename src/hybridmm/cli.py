@@ -15,9 +15,10 @@ verify
     any failure, 2 on a malformed scheme file, an unwritable ``--json``
     path or a negative ``--max-vertices``.
 
-bounds --plan FILE --M M --B B [--P P --Bm BM] [--msp-threshold T]
+bounds --plan FILE --M M --B B [--P P [--Bm BM]] [--msp-threshold T]
     Evaluate the sequential (and optionally parallel) lower bound for the
-    plan at its own size; prints a JSON report.
+    plan at its own size; prints a JSON report.  ``--Bm`` without ``--P``
+    is refused (exit 2).
 
 simulate --plan FILE --M M --B B [--dump-schedule FILE]
     Generate the hybrid schedule for the plan, simulate it, and print its
@@ -227,6 +228,8 @@ def _load_plan(path):
 
 
 def cmd_bounds(args) -> int:
+    if args.Bm is not None and args.P is None:
+        raise ValueError("--Bm is the parallel bound's block size and needs --P")
     plan = _load_plan(args.plan)
     rep = sequential_bound(plan, plan.size, args.M, args.B, threshold=args.msp_threshold)
     out = rep.to_dict()

@@ -56,6 +56,7 @@ class Matrix:
     __slots__ = ("n", "data", "modulus")
 
     def __init__(self, data, modulus: int = DEFAULT_MODULUS):
+        _check_modulus(modulus)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
@@ -128,9 +129,15 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix((a.data - b.data) % a.modulus, a.modulus)
 
 
+def _check_modulus(modulus: int):
+    if modulus < 2:
+        raise ValueError(f"modulus {modulus} is below 2")
+
+
 def _check_exact(modulus: int, inner: int):
     """Raise ValueError unless ``matmul_mod`` takes this modulus and inner
     dimension."""
+    _check_modulus(modulus)
     if modulus >= 1 << 31:
         raise ValueError(f"modulus {modulus} is not below 2**31; int64 products would overflow")
     if inner > 1 << 16:

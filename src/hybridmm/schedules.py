@@ -4,12 +4,16 @@ Two generators are exposed, built by one set-up:
 
 ``gen_standard_blocked_schedule``
     Classic square tiling for the standard algorithm with tile side t, the
-    largest power of two satisfying 3*t^2 <= M.  With M = 3 the tiling
-    degenerates to the definition triple loop: each accumulator stays
-    resident across k beside one operand pair, every later product is
-    computed over the spent A word, and C is written once, for 2n^3 reads
-    and n^2 writes.  It is the hybrid generator on a plan that is one
-    standard leaf.
+    largest power of two satisfying 3*t^2 <= M.  One tile loop serves every
+    t: a C tile stays resident across k, each k step reads a row of the A
+    tile at a time and the B tile right after A's first row, and a product
+    goes into one scratch word until its A word is spent, at the tile's
+    last column, and over that A word there.  Each output tile is flushed
+    with the scratch word, so it starts and ends with an empty cache.  With
+    M = 3 (t = 1) this is the definition triple loop: every product after
+    the first is computed over the spent A word, no scratch word exists,
+    and C is written once, for 2n^3 reads and n^2 writes.  It is the hybrid
+    generator on a plan that is one standard leaf.
 
 ``gen_hybrid_schedule``
     Depth-first traversal of a recursion plan.  A sub-problem whose whole
@@ -46,7 +50,7 @@ Runs of words go through a few ``_Emitter`` primitives: ``read_run`` and
 drops it from the cache, ``flush`` writes it back and then evicts it, and
 the ``*_view`` forms apply these to each contiguous run of a ``View``
 (``View.runs``).  Loops that go one word at a time (dot products, signed
-terms, the M=3 triple loop) emit their moves inline.
+terms) emit their moves inline.
 
 Every {-1, 0, 1} linear combination of blocks, driven by the ``FastScheme``
 coefficient rows, takes its opcodes from one map, ``_TERM_OP`` (a term's
@@ -255,37 +259,49 @@ def _blocked(em: _Emitter, av: View, bv: View, cv: View):
     if t == n and em.M >= 3 * n * n + 1 and n > 1:
         _blocked_full_resident(em, av, bv, cv)
         return
-    if t == 1:
-        _blocked_spill(em, av, bv, cv)
-        return
-    nt = n // t
-    scratch = em.alloc(1)
-    for ti in range(nt):
-        for tj in range(nt):
-            ct = cv.block(ti, tj, t)
-            for tk in range(nt):
-                at = av.block(ti, tk, t)
-                bt = bv.block(tk, tj, t)
-                em.read_view(bt)
-                for r in range(t):
-                    a_row = at.addr(r, 0)
-                    c_row = ct.addr(r, 0)
-                    em.read_run(a_row, t)
-                    for c in range(t):
-                        c_addr = c_row + c
-                        for z in range(t):
-                            a_addr = a_row + z
-                            b_addr = bt.addr(z, c)
-                            if tk == 0 and z == 0:
-                                em.compute(c_addr, OP_MUL, a_addr, b_addr)
+    # a product goes into the one scratch word until its A word is spent, at
+    # the tile's last column, and over that A word there; at t = 1 every
+    # product does, and no scratch word is allocated
+    scratch = em.alloc(1) if t > 1 else None
+    last = t - 1
+    steps = range(0, n, t)
+    side = range(t)
+    # each row of A, B and C as the list of its addresses, so the moves that
+    # name a word share one int; a B tile's runs start at rows b_starts
+    # (one run when B's rows abut, as in View.runs)
+    a_rows, b_rows, c_rows = ([list(range(v.addr(r, 0), v.addr(r, n))) for r in range(n)]
+                              for v in (av, bv, cv))
+    b_starts, b_len = ((0,), t * t) if bv.stride == t else (side, t)
+    read_run, evict_run, compute = em.read_run, em.evict_run, em.compute
+    for i in steps:
+        for j in steps:
+            for k in steps:
+                for r in side:
+                    a_row = a_rows[i + r]
+                    read_run(a_row[k], t)
+                    if not r:
+                        for z in b_starts:
+                            read_run(b_rows[k + z][j], b_len)
+                    c_row = c_rows[i + r]
+                    for c in side:
+                        c_addr = c_row[j + c]
+                        spent = c == last
+                        for z in side:
+                            a_addr = a_row[k + z]
+                            b_addr = b_rows[k + z][j + c]
+                            if k or z:
+                                p = a_addr if spent else scratch
+                                compute(p, OP_MUL, a_addr, b_addr)
+                                compute(c_addr, OP_ADD, c_addr, p)
                             else:
-                                em.compute(scratch, OP_MUL, a_addr, b_addr)
-                                em.compute(c_addr, OP_ADD, c_addr, scratch)
-                    em.evict_run(a_row, t)
-                em.evict_view(bt)
-            for r in range(t):
-                em.flush(ct.addr(r, 0), t)
-    em.evict(scratch)
+                                compute(c_addr, OP_MUL, a_addr, b_addr)
+                    evict_run(a_row[k], t)
+                for z in b_starts:
+                    evict_run(b_rows[k + z][j], b_len)
+            for r in side:
+                em.flush(c_rows[i + r][j], t)
+            if scratch is not None:
+                em.evict(scratch)
 
 
 def _blocked_full_resident(em: _Emitter, av: View, bv: View, cv: View):
@@ -297,30 +313,6 @@ def _blocked_full_resident(em: _Emitter, av: View, bv: View, cv: View):
     em.evict_view(av)
     em.evict_view(bv)
     em.evict_view(cv)
-
-
-def _blocked_spill(em: _Emitter, av: View, bv: View, cv: View):
-    # M = 3 regime: the accumulator stays resident across k, beside one
-    # operand pair at a time.  Each later product is computed over a's slot
-    # (register semantics) and added into c, so c is written back once.
-    n = av.rows
-    for i in range(n):
-        for j in range(n):
-            c_addr = cv.addr(i, j)
-            for k in range(n):
-                a_addr = av.addr(i, k)
-                b_addr = bv.addr(k, j)
-                em.read_run(a_addr, 1)
-                em.read_run(b_addr, 1)
-                if k:
-                    em.compute(a_addr, OP_MUL, a_addr, b_addr)
-                    em.compute(c_addr, OP_ADD, c_addr, a_addr)
-                else:
-                    em.compute(c_addr, OP_MUL, a_addr, b_addr)
-                em.evict(a_addr)
-                em.evict(b_addr)
-            em.write_run(c_addr, 1)
-            em.evict(c_addr)
 
 
 def gen_standard_blocked_schedule(n: int, cfg: MachineConfig) -> Schedule:

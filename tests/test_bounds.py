@@ -294,3 +294,18 @@ def test_bound_requires_plan_size():
     for n in (13, 8, 32):
         with pytest.raises(ValueError):
             sequential_bound(plan, n, 4, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_msps(uniform_plan(16, 4), 0),
+    lambda: sequential_bound(uniform_plan(16, 4), 16, 0, 1),
+    lambda: sequential_bound(uniform_plan(16, 4), 16, 4, 0),
+    lambda: uniform_closed_form(16, 4, 0, 1),
+    lambda: uniform_closed_form(16, 4, 4, -1),
+    lambda: uniform_parallel_closed_form(16, 4, 4, 0, 2),
+    lambda: uniform_parallel_closed_form(16, 4, 4, 1, 0),
+], ids=["msps-m0", "seq-m0", "seq-b0", "closed-m0", "closed-b-1", "par-closed-bm0",
+        "par-closed-p0"])
+def test_sizes_below_one_refused(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()

@@ -213,6 +213,15 @@ def test_bounds_parallel_flags_below_one_exit_2(plan_file, capsys, flags):
     assert captured.out == "" and "p and bm must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("bm", ["2", "-5"])
+def test_bounds_bm_without_p_exit_2(plan_file, capsys, bm):
+    # --Bm only sets the parallel bound's block size, so without --P it is
+    # refused, not dropped
+    assert main(["bounds", "--plan", plan_file, "--M", "4", "--Bm", bm]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--Bm" in captured.err and "--P" in captured.err
+
+
 def test_bounds_parallel_bm_defaults_to_1(plan_file, capsys):
     for extra, bm in (([], 1), (["--Bm", "2"], 2)):
         assert main(["bounds", "--plan", plan_file, "--M", "4", "--P", "4"] + extra) == 0

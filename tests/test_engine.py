@@ -152,6 +152,9 @@ def test_exactness_limits_enforced():
             execute_stacked(plan, a, a, p)
     with pytest.raises(ValueError, match="inner dimension"):
         execute_stacked(StandardLeaf(IT, 1 << 17), a, a)
+    for p in (0, 1, -7):
+        with pytest.raises(ValueError, match="below 2"):
+            execute_stacked(uniform_plan(4, 1), a[:, :4, :4], a[:, :4, :4], p)
     # just below the limit the extreme entries still multiply exactly:
     # 8 * (p-1)^2 = 8 mod p
     top = np.full((2, 8, 8), DEFAULT_MODULUS - 1, dtype=np.int64)

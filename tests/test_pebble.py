@@ -277,6 +277,11 @@ _NEEDS_CACHED_A = Template([(MV_R, 4, 1), (MV_C, 12, OP_MUL, 0, 4), (MV_E, 0), (
                            ((0, 1), (4, 5), (12, 13), (13, 13)))
 # leaves its b word cached
 _KEEPS_B = Template([(MV_R, 4, 1)], ((0, 1), (4, 5), (12, 13), (13, 13)))
+# copies its b word over its a word, which was read and never used
+_OVERWRITES_READ = Template([(MV_R, 0, 1), (MV_R, 4, 1), (MV_C, 0, OP_CPY, 4, -1),
+                             (MV_C, 8, OP_MUL, 0, 4), (MV_W, 8, 1), (MV_E, 0), (MV_E, 4),
+                             (MV_E, 8)],
+                            ((0, 1), (4, 5), (8, 9), (12, 12)))
 # reads its a word and evicts it unused
 _READS_A = Template([(MV_R, 12, 1), (MV_E, 12)], ((12, 13), (4, 5), (13, 14), (14, 14)))
 
@@ -357,12 +362,16 @@ _SPILL_12 = [(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_W, 12, 1), (MV_E, 12),
     ([(MV_R, 0, 1), (MV_C, 16, OP_CPY, 0, -1), (MV_W, 16, 1), (MV_E, 16), (MV_E, 0),
       _record(_WRAPS, 16, 4, 17, 18), _record(_WRAPS, 20, 6, 21, 22)],
      IoStats(5, 5, 2, 5), [(12, "computed value at 16 overwritten in slow memory unused")]),
+    # a compute over a word read and never used, in each of two records
+    ([_record(_OVERWRITES_READ, 0, 4, 8, 12), _record(_OVERWRITES_READ, 1, 5, 9, 12)],
+     IoStats(4, 2, 3, 4), [(2, "value read into cache at 0 evicted/overwritten unused"),
+                           (10, "value read into cache at 1 evicted/overwritten unused")]),
 ], ids=["consumed-inside", "written-inside", "overwrites-unused", "overwrites-used",
         "overwrites-input", "overwrites-output", "nested-overwrites", "overwrites-through",
         "stray-word", "segments-overlap", "run-across-segments", "fault-moved",
         "ends-cached", "undefined-moved", "consumed-inside-twice", "written-inside-twice",
         "overwrites-unused-twice", "overwrites-used-twice", "overwrites-input-twice",
-        "overwrites-output-twice", "overwrites-through-twice"])
+        "overwrites-output-twice", "overwrites-through-twice", "overwrites-read-twice"])
 def test_records_match_their_expansion(entries, outcome, violations, summary_spy):
     sched = Schedule(Moves(entries), MemoryLayout(2))
     flat = Schedule(list(sched.moves), sched.layout)
@@ -543,7 +552,7 @@ def test_parsimony_of_one_move_mutants_pinned():
     (_word_mutants, [(3, 1), (48, 1), (5, 2)],
      "25e059d0cd7f33f064900d91036d60bf7bf0dda9a0f1e41fba5ce3fedba4dc9f"),
     (_block_mutants, [(20, 4), (16, 2), (8, 4)],
-     "4c38f03805470753d54d3e2e383133d2754ab04506fdaf58e958368508047f5c"),
+     "4ce558704bb864e1e092909798d26db9dd65d1ce485a4af2c41e1f40d2b282b4"),
 ], ids=["word", "block"])
 def test_simulate_of_one_move_mutants_pinned(corpus, machines, digest):
     """Every mutant simulated on each machine: the I/O counts of a legal
@@ -560,6 +569,13 @@ def test_simulate_of_one_move_mutants_pinned(corpus, machines, digest):
                 outcomes.append((exc.kind, exc.step, str(exc)))
     kinds = Counter(o[0] if isinstance(o, tuple) else "legal" for o in outcomes)
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == digest, kinds
+
+
+def test_compute_over_unused_read_value():
+    sched = parse_schedule("R 0 1\nR 1 1\nC 0 cpy 1\nC 2 mul 0 1\nW 2 1\nE 0\nE 1\nE 2\n",
+                           MemoryLayout(1))
+    assert check_parsimonious(sched).violations == [
+        (2, "value read into cache at 0 evicted/overwritten unused")]
 
 
 def test_empty_schedule_parsimonious():

@@ -88,6 +88,16 @@ def test_matmul_mod_exactness_limits():
     assert mat_mul_naive(mb, mb) == ref_matmul(mb, mb)
 
 
+@pytest.mark.parametrize("p", [0, 1, -7])
+def test_modulus_below_two_refused(p):
+    # no ring to reduce into: 0 would divide by zero, -7 return negative entries
+    a = np.ones((4, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match="below 2"):
+        Matrix(a, p)
+    with pytest.raises(ValueError, match="below 2"):
+        matmul_mod(a, a, p)
+
+
 @pytest.mark.parametrize("p", [P, 65537, 3])
 @pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 64])
 def test_matmul_mod_matches_pyint_on_both_paths(k, p):
@@ -284,6 +294,8 @@ def test_bilinearity():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_add(Matrix.zeros(2), Matrix.zeros(3))
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        mat_sub(Matrix.zeros(2), Matrix.zeros(2, 65537))
     with pytest.raises(ValueError):
         mat_mul_naive(Matrix.zeros(4), Matrix.zeros(2))
 

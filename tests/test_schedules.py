@@ -8,9 +8,9 @@ import pytest
 
 from hybridmm import pebble, schedules
 from hybridmm.bounds import sequential_bound
-from hybridmm.pebble import (MV_C, MV_E, MV_REC, OP_NEG, IoStats, MachineConfig, Moves, Schedule,
-                             ScheduleError, Template, check_parsimonious, dump_schedule,
-                             replay_values, simulate)
+from hybridmm.pebble import (MV_C, MV_E, MV_R, MV_REC, OP_NEG, IoStats, MachineConfig, Moves,
+                             Schedule, ScheduleError, Template, check_parsimonious,
+                             dump_schedule, replay_values, simulate)
 from hybridmm.plans import (STRASSEN, WINOGRAD, StandardLeaf, StandardVariant,
                             random_plan, uniform_plan)
 from hybridmm.ringmat import Matrix, mat_mul_naive
@@ -228,12 +228,32 @@ def test_generators_reject_bad_sizes():
         gen_standard_blocked_schedule(6, MachineConfig(12, 1))
 
 
+@pytest.mark.parametrize("n,m,b,t", [(8, 3, 1, 1), (8, 12, 1, 2), (16, 12, 3, 2), (16, 48, 1, 4)])
+def test_blocked_output_tiles_start_and_end_empty(n, m, b, t):
+    # the cache is empty after every output tile of side t and nowhere else
+    # inside the schedule, so each tile's steps start and end empty
+    resident, empty = set(), 0
+    for mv in gen_standard_blocked_schedule(n, MachineConfig(m, b)).moves:
+        if mv[0] == MV_R:
+            resident.update(range(mv[1], mv[1] + mv[2]))
+        elif mv[0] == MV_C:
+            resident.add(mv[1])
+        elif mv[0] == MV_E:
+            resident.remove(mv[1])
+        empty += not resident
+    assert schedules._tile_side(m, n) == t
+    assert empty == (n // t) ** 2
+
+
 # sha256 of dump_schedule, pinned so that refactors of the generators must
 # reproduce every move: tiny-cache word-wise encode/decode and held operands
 # (M=3, B=4), segmented streaming passes with a cache-resident decode source
-# (M=48), both schemes, the tiled loop and the full-resident loop.  ``key``
-# is the digest a case was first pinned with; it leads the case's test id,
-# so re-pinning a case on purpose keeps its name.
+# (M=48), both schemes, the tile loop at t = 1, 2 and 4 and the
+# full-resident loop.  ``key`` is the digest a case was first pinned with;
+# it comes before the digest in the case's test id, so re-pinning a case on
+# purpose keeps the start of its id.  The cases that run the tile loop at t > 1 were re-pinned when it
+# began to evict its scratch word with each output tile and to read A's
+# first row before the B tile; the t = 1 cases kept their digests.
 _PINNED_DUMPS = [
     ("hybrid", STRASSEN, 16, 1, 3, 4,
      "00395a544335278d2df148a20b6f682849b62193392b290c0a3c31b3dfdeb4be",
@@ -243,7 +263,7 @@ _PINNED_DUMPS = [
      "85f009ba6c4fd87699d16aaa1dba5013e1cddc864b6f165a866fba556dd76ad6"),
     ("hybrid", WINOGRAD, 16, 2, 12, 1,
      "c5d4220d211f9763add883ffd4413fa59c86e7aba5011cc13e5b9a3d1b4a068c",
-     "485ad855fd36611125bda92d4a82349ba17c40f253fefd736f59809ed24df2e3"),
+     "e7459915f33f1c499ce97eb8fc96e6ec688a65651a363abcaec24b605b2b303f"),
     ("hybrid", WINOGRAD, 8, 1, 20, 2,
      "67ab7a02b8d9d7431093fcf94a8450c07411bc7ec47692d83e092b2e08aab033",
      "e8a19f9f7838ce4fd2eef47aaa2a51d460a524560b465892be8b5be98ba35adb"),
@@ -266,7 +286,7 @@ _PINNED_DUMPS = [
      "6cf48e8b0e20183417b87deb8fdb8236078c0fb070c1302827346853aebdc0af"),
     ("blocked", None, 8, None, 12, 1,
      "5d2abdcdaa1ff190d8ee7f79056ffa65307351a61fd69c2793201877acf124cc",
-     "5d2abdcdaa1ff190d8ee7f79056ffa65307351a61fd69c2793201877acf124cc"),
+     "f8af482c9b2380bf98d925f2b3b1ebca6952f0f727fad69805b3af5816813bda"),
     ("blocked", None, 2, None, 16, 4,
      "0af9f705cde6fa9ae9b1b5929852746c2e48d99010404c39d0adc03661babdfd",
      "0af9f705cde6fa9ae9b1b5929852746c2e48d99010404c39d0adc03661babdfd"),
@@ -274,7 +294,7 @@ _PINNED_DUMPS = [
     # A row by row, and B=3 splits both unevenly
     ("blocked", None, 4, None, 48, 3,
      "9121c635fff7d194e250065000fcec3f95dc638acb68d25f1236d41b555845bf",
-     "9121c635fff7d194e250065000fcec3f95dc638acb68d25f1236d41b555845bf"),
+     "e6e83ed9e06349ef18253858a34a14c999db8d6d89fcaefefd97fae270865ab5"),
     # runs that are not multiples of B through every hybrid path
     ("hybrid", WINOGRAD, 8, 2, 20, 3,
      "5539c9682b0d11f3b8253c705f42728e89ca99978c4c610c0450e64910d7fd9f",
@@ -287,7 +307,7 @@ _PINNED_DUMPS = [
     # a mixed tree: n0 is the seed of random_plan(n, 0.7, seed, scheme)
     ("random", WINOGRAD, 16, 1, 44, 1,
      "81460568b0393a2295cea98fbb7f4afcae6a19250b771df2b6e3987d517d1431",
-     "6d28014900ad4145643c7cc25d870c62b057e82ab3f9f22b929ffe38ace01d56"),
+     "7b5e7ab4bce1a1753bc95906731ceb32b7f0d61553edaf57801d2baff0e7116b"),
     # the benchmark's schedule points, most of whose moves are replayed
     # subtrees (Strassen n=16, n0=1, M=3, B=4 is the first case above)
     ("hybrid", STRASSEN, 32, 4, 3, 1,
@@ -302,7 +322,18 @@ _PINNED_DUMPS = [
     # replayed subtrees with strided views and runs that are not multiples of B
     ("random", WINOGRAD, 32, 1, 20, 3,
      "1a17708379eb8829ec969a775aecfccf8c235e31f5ce0d08e6937e42f20ce571",
-     "1a17708379eb8829ec969a775aecfccf8c235e31f5ce0d08e6937e42f20ce571"),
+     "e4ad266b5e8afd0a119d490a5e178919b9753ddf6fc15ef1b8e055fa666a1982"),
+    # the tile loop at t = 1: every product goes over its spent A word; the
+    # hybrid case runs it on 5 leaves, the random one on 46
+    ("blocked", None, 8, None, 3, 2,
+     "6dcda5f0fbba90952d3c45e7eb0df06a66dfd9eecbaafba9fefa5c631fac2b75",
+     "6dcda5f0fbba90952d3c45e7eb0df06a66dfd9eecbaafba9fefa5c631fac2b75"),
+    ("hybrid", STRASSEN, 16, 4, 11, 2,
+     "134a82dc1b3142c3857c5ae2c7daae6c4b27633d67416081a86acde810be628c",
+     "134a82dc1b3142c3857c5ae2c7daae6c4b27633d67416081a86acde810be628c"),
+    ("random", STRASSEN, 16, 1, 8, 1,
+     "bf7b5514a0f2a768144f749c15eafcc4d07ba4f7006a43448494dbaf07e21083",
+     "bf7b5514a0f2a768144f749c15eafcc4d07ba4f7006a43448494dbaf07e21083"),
 ]
 
 
