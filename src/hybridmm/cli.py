@@ -243,12 +243,14 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# Generating, simulating and checking a schedule costs about 17 to 21 bytes
-# a move over a 30 MB start (n=64, n0=1, M=3: 4,542,261 moves, 124 MB peak
-# RSS; n=128, n0=1, M=12: 19,744,108 moves, 362 MB).  The schedule stores
-# under 0.2 % of its moves, so nearly all of that is the walks' maps of the
-# words written.  This many moves peak near 0.7 GB, under an eighth of a
-# 7 GB machine.
+# Generating, simulating and checking a schedule costs about 1.3 to 1.7
+# bytes a move over a 31 MB start (n=64, n0=1, M=3: 4,542,261 moves, 37 MB
+# peak RSS; n=128, n0=1, M=12: 19,744,108 moves, 63 MB; on a 2-core x86-64
+# VM).  The schedule stores under 0.2 % of its moves, and the walks'
+# summaries leave out each record's temporaries, so memory follows the
+# stored entries and the words at records' boundaries, not the moves:
+# n=128, n0=1, M=3, which passes this guard with 32,303,731 moves, peaks at
+# 63 MB too.
 MAX_SIMULATE_MOVES = 30_000_000
 
 

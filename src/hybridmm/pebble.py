@@ -27,7 +27,9 @@ record moves every address in segment k by ``bases[k]`` minus the
 segment's start.  A generated sub-problem has four (the spans of its a, b
 and c operands and its temporaries), a streamed row step one per source
 and destination row run and an empty one for temporaries.  A template's
-body holds moves and records of its own, so records nest.
+last segment holds its temporaries, which are private to each record of
+it.  A template's body holds moves and records of its own, so records
+nest.
 ``Schedule.moves`` reads as the flat sequence of moves that the records
 expand to, and every step number, in an error or a violation, counts that
 expansion.  A hand-built or parsed schedule has no records.
@@ -62,8 +64,16 @@ summary holds what the body does to the memory around it: its counts and
 peak, its first fault, the slow words it reads before writing them, the
 words it leaves written, and its violations, some of which depend on the
 slow words it overwrites.  It keeps each list of addresses with their
-intervals in the template (``_Addrs``), which a record's shifts move.  So
-the answer is always the flat walk's.
+intervals in the template (``_Addrs``), which a record's shifts move.
+
+A summary holds only the record's boundary when the schedule is
+``_sealed``: a scan of each template's body, made once with ``contained``,
+proves that no move outside a record touches its temporaries.  Then the
+words it leaves written, and in ``check_parsimonious`` its pending
+overwrites, leave out the template's last segment; its reads, consumed
+values, fault and violations keep every word.  When the scan fails, as it
+may for a hand-built schedule, every summary keeps every word.  So the
+answer is always the flat walk's.
 
 ``check_parsimonious`` keeps each value as an int, indexing a bytearray of
 flags shared by its cache slot and its slow word: computed, consumed, used
@@ -80,7 +90,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
+from itertools import compress, count
 from operator import add
 
 from .ringmat import Matrix
@@ -139,15 +149,17 @@ class Template:
     that generated it, whose disjoint segments are ``segments``, each
     ``(lo, hi)``; an empty one (``lo == hi``) moves nothing.  A record with
     ``bases`` moves an address in segment k by ``bases[k] - lo`` and leaves
-    an address outside every segment as it is.
+    an address outside every segment as it is.  The last segment holds the
+    step's temporaries, which are its own: when a schedule is ``_sealed``,
+    no move outside a record touches them, and its summaries leave them out.
 
     ``nested`` holds the template of each record in the body, in order.
     A generated body is ``summarizable`` at every record; a hand-edited one
     may not be.
     """
 
-    __slots__ = ("body", "segments", "lows", "nested", "length", "_bounds", "_order",
-                 "_contained")
+    __slots__ = ("body", "segments", "lows", "nested", "length", "_bounds", "_order", "_temps",
+                 "_contained", "_sealed")
 
     def __init__(self, body, segments):
         self.body = body
@@ -160,43 +172,28 @@ class Template:
         if self._bounds != sorted(self._bounds):
             raise ValueError(f"template segments overlap: {segments}")
         self._order = [k for _, _, k in live]
-        self._contained = None
+        lo, hi = segments[-1] if segments else (0, 0)
+        # the interval of ``_bounds`` that holds the temporaries, or -1
+        self._temps = bisect_right(self._bounds, lo) if lo < hi else -1
+        self._contained = self._sealed = None
 
     def contained(self):
         """Whether every address the body uses lies in a segment (a second
         operand of -1 names none), every run of words in one, and each
         segment of a nested record, moved to its bases, in one; computed
-        once."""
+        once, in the pass that also finds whether it is ``sealed``."""
         if self._contained is None:
-            used, runs = set(), []
-            add = used.add
-            contained = True
-            for mv in self.body:
-                tag = mv[0]
-                if tag == MV_C:
-                    add(mv[1])
-                    add(mv[3])
-                    add(mv[4])
-                elif tag == MV_E:
-                    add(mv[1])
-                elif tag == MV_REC:
-                    contained = contained and mv[1].contained()
-                    runs += [(b, b + hi - lo) for (lo, hi), b in zip(mv[1].segments, mv[2])
-                             if lo < hi]
-                elif mv[2] > 1:
-                    runs.append((mv[1], mv[1] + mv[2]))
-                else:
-                    add(mv[1])
-            used.discard(-1)  # no second operand
-            bounds = self._bounds
-            # a word in segment j has the odd interval 2j + 1
-            contained = contained and all(i & 1 for i in set(map(partial(bisect_right, bounds),
-                                                                 used)))
-            for lo, hi in runs:
-                i = bisect_right(bounds, lo)
-                contained = contained and i & 1 and hi <= bounds[i]
-            self._contained = bool(contained)
+            self._contained, self._sealed = _scan(self.body, self._bounds,
+                                                  self.segments[-1] if self.segments else (0, 0))
         return self._contained
+
+    def sealed(self):
+        """Whether the body is ``contained``, every nested template is
+        sealed, and each nested record's temporaries, its last segment moved
+        to its bases, lie in this template's last segment and meet no
+        address a move of the body names and no other segment of a record
+        in it, that record's own included."""
+        return self.contained() and self._sealed
 
     def summarizable(self, bases):
         """Whether a summary of the body stands for a record with ``bases``:
@@ -217,15 +214,79 @@ class Template:
         return sh
 
 
+def _scan(entries, bounds, last):
+    """One pass over ``entries``, a template's body with its ``_bounds`` and
+    last segment, or a schedule's top level (``bounds`` and ``last`` None,
+    where every address counts as contained): whether they are contained and
+    whether they are sealed (``Template``)."""
+    used, runs, temps = set(), [], []
+    add = used.add
+    contained = sealed = True
+    for mv in entries:
+        tag = mv[0]
+        if tag == MV_C:
+            add(mv[1])
+            add(mv[3])
+            add(mv[4])
+        elif tag == MV_E:
+            add(mv[1])
+        elif tag == MV_REC:
+            t = mv[1]
+            contained = contained and t.contained()
+            sealed = sealed and t.sealed()
+            spans = [(b, b + hi - lo) for (lo, hi), b in zip(t.segments, mv[2])]
+            if spans:
+                temps.append(spans.pop())
+            runs += [(lo, hi) for lo, hi in spans if lo < hi]
+        elif mv[2] > 1:
+            runs.append((mv[1], mv[1] + mv[2]))
+        else:
+            add(mv[1])
+    used.discard(-1)  # no second operand
+    temps = sorted((lo, hi) for lo, hi in temps if lo < hi)
+    if bounds is not None:
+        # a word in segment j has the odd interval 2j + 1
+        contained = contained and all(i & 1 for i in set(map(partial(bisect_right, bounds),
+                                                             used)))
+        for lo, hi in runs + temps:
+            i = bisect_right(bounds, lo)
+            contained = contained and i & 1 and hi <= bounds[i]
+    sealed = sealed and contained
+    if temps and sealed:
+        # the temporaries are disjoint intervals of ``tb``, and no word or
+        # run of the body starts in one or reaches into the next
+        tb = [x for span in temps for x in span]
+        sealed = (tb == sorted(tb) and (last is None or last[0] <= tb[0] and tb[-1] <= last[1])
+                  and not any(i & 1 for i in map(partial(bisect_right, tb), used)))
+        for lo, hi in runs:
+            i = bisect_right(tb, lo)
+            sealed = sealed and not i & 1 and (i == len(tb) or hi <= tb[i])
+    return bool(contained), bool(sealed)
+
+
+def _sealed(entries):
+    """Whether a schedule's top-level ``entries`` are sealed, scanned as a
+    template's body is, without a last segment: then, by induction on
+    nesting, a record's temporaries are touched only inside that record.
+    Entries with no record are sealed without a scan."""
+    return not any(e[0] == MV_REC for e in entries) or _scan(entries, None, None)[1]
+
+
 class _Addrs:
     """Addresses of a template's body, each with the interval of the
-    template that holds it; ``at(sh)`` moves them by a record's shifts."""
+    template that holds it; ``at(sh)`` moves them by a record's shifts.
+    With ``sealed``, the addresses in the template's last segment, a
+    record's temporaries, are left out."""
 
     __slots__ = ("addrs", "intervals")
 
-    def __init__(self, template, addrs):
+    def __init__(self, template, addrs, sealed=False):
         self.addrs = list(addrs)
         self.intervals = list(map(partial(bisect_right, template._bounds), self.addrs))
+        if sealed and template._temps in self.intervals:
+            keep = list(map(template._temps.__ne__, self.intervals))
+            self.addrs = list(compress(self.addrs, keep))
+            self.intervals = list(compress(self.intervals, keep))
 
     def at(self, sh):
         return map(add, self.addrs, map(sh.__getitem__, self.intervals))
@@ -373,13 +434,14 @@ class _Fault(Exception):
 class _Walk:
     """What the two walkers share: ``counts``, each template's records in
     the expansion; ``summaries``, each summarized template's summary, or
-    None if its body ends with a value cached; ``closed``, whether this
-    walks the whole schedule; and the record rule (``record``).  A walker
-    adds its per-move ``walk``, ``open`` (a fresh walk of a body), the
-    ``Summary`` made from that walk, and ``apply``."""
+    None if its body ends with a value cached; ``sealed``, whether the
+    schedule is ``_sealed``, so that summaries leave out temporaries;
+    ``closed``, whether this walks the whole schedule; and the record rule
+    (``record``).  A walker adds its per-move ``walk``, ``open`` (a fresh
+    walk of a body), the ``Summary`` made from that walk, and ``apply``."""
 
-    def __init__(self, summaries, counts, closed):
-        self.summaries, self.counts, self.closed = summaries, counts, closed
+    def __init__(self, summaries, counts, sealed, closed):
+        self.summaries, self.counts, self.sealed, self.closed = summaries, counts, sealed, closed
 
     def record(self, template, bases, at, empty):
         """Meet a record of ``template`` with ``bases`` at expanded step
@@ -421,7 +483,7 @@ def simulate(schedule: Schedule, cfg: MachineConfig) -> IoStats:
     """
     entries = schedule.moves.entries
     walk = _SimWalk(cfg.M, cfg.B, set(schedule.layout.input_range()), {},
-                    _record_counts(entries), closed=True)
+                    _record_counts(entries), _sealed(entries), closed=True)
     fault = walk.run(entries)
     # the walk reads on past an undefined word, so it is the first fault
     # when there is one; any later fault was found after it
@@ -450,7 +512,7 @@ class _SimSummary:
     """What a body does under one cfg, walked with nothing known defined:
     its counts and peak, its first fault, with the address it names in
     ``fault_at``, the words it reads before writing them, and the words it
-    writes."""
+    writes, without the template's temporaries when the walk is sealed."""
 
     __slots__ = ("reads", "writes", "computes", "peak", "fault", "fault_at", "inputs", "outputs")
 
@@ -463,7 +525,7 @@ class _SimSummary:
                                else [fault.addr])
         inputs = [a for a, _ in body.inputs] + body.nested_inputs
         self.inputs = _Addrs(template, inputs)
-        self.outputs = _Addrs(template, body.slow.difference(inputs))
+        self.outputs = _Addrs(template, body.slow.difference(inputs), body.sealed)
 
 
 class _SimWalk(_Walk):
@@ -475,8 +537,8 @@ class _SimWalk(_Walk):
 
     Summary = _SimSummary
 
-    def __init__(self, m_cap, b_cap, slow, summaries, counts, closed=False):
-        super().__init__(summaries, counts, closed)  # summaries for one cfg
+    def __init__(self, m_cap, b_cap, slow, summaries, counts, sealed, closed=False):
+        super().__init__(summaries, counts, sealed, closed)  # summaries for one cfg
         self.m_cap, self.b_cap = m_cap, b_cap
         self.slow = slow
         self.cache = set()
@@ -485,7 +547,8 @@ class _SimWalk(_Walk):
         self.nested_inputs = []
 
     def open(self):
-        return _SimWalk(self.m_cap, self.b_cap, set(), self.summaries, self.counts)
+        return _SimWalk(self.m_cap, self.b_cap, set(), self.summaries, self.counts,
+                        self.sealed)
 
     def walk(self, entries, step0):
         """Walk ``entries`` from expanded step ``step0``; raises ``_Fault``."""
@@ -628,7 +691,8 @@ def check_parsimonious(schedule: Schedule) -> ParsimonyReport:
     that nothing computed.
     """
     entries = schedule.moves.entries
-    walk = _ParsimonyWalk(bytearray(), {}, _record_counts(entries), closed=True)
+    walk = _ParsimonyWalk(bytearray(), {}, _record_counts(entries), _sealed(entries),
+                          closed=True)
     walk.walk(entries, 0)
     # values abandoned in cache when the schedule ends are discarded values
     walk.drop_cached(len(schedule.moves))
@@ -644,7 +708,9 @@ class _ParsimonySummary:
     """What a body does, walked with no value of the memory around it
     known: its violations, as ``(step, code)`` with their addresses in
     ``found_at``, its pending writes, the outer values it consumes, and the
-    words it leaves holding a value of its own, with their flags."""
+    words it leaves holding a value of its own, with their flags; pending
+    writes and words left hold no temporary of the template when the walk
+    is sealed."""
 
     __slots__ = ("found", "found_at", "pending", "consumed", "outputs", "out_flags")
 
@@ -652,7 +718,7 @@ class _ParsimonySummary:
         flags = body.flags
         self.found = [(rel, code) for rel, code, _ in body.found]
         self.found_at = _Addrs(template, [a for _, _, a in body.found])
-        self.pending = _Addrs(template, body.pending)
+        self.pending = _Addrs(template, body.pending, body.sealed)
         self.consumed = _Addrs(template, [a for a, v in body.outer.items()
                                           if flags[v] & _CONSUMED])
         # the words that hold a value of the body's own when it ends
@@ -660,8 +726,9 @@ class _ParsimonySummary:
         for a, v in body.outer.items():
             if own[a] == v:
                 del own[a]
-        self.outputs = _Addrs(template, own)
-        self.out_flags = bytes(map(flags.__getitem__, own.values())).translate(_LOW_FLAGS)
+        self.outputs = _Addrs(template, own, body.sealed)
+        self.out_flags = bytes(map(flags.__getitem__, map(own.__getitem__, self.outputs.addrs))
+                               ).translate(_LOW_FLAGS)
 
 
 class _ParsimonyWalk(_Walk):
@@ -676,8 +743,8 @@ class _ParsimonyWalk(_Walk):
 
     Summary = _ParsimonySummary
 
-    def __init__(self, flags, summaries, counts, closed=False):
-        super().__init__(summaries, counts, closed)
+    def __init__(self, flags, summaries, counts, sealed, closed=False):
+        super().__init__(summaries, counts, sealed, closed)
         self.flags = flags  # value -> flags, for every walk of one check
         self.slow = {}
         self.cache = {}
@@ -686,7 +753,7 @@ class _ParsimonyWalk(_Walk):
         self.pending = []
 
     def open(self):
-        return _ParsimonyWalk(self.flags, self.summaries, self.counts)
+        return _ParsimonyWalk(self.flags, self.summaries, self.counts, self.sealed)
 
     def outer_value(self, addr):
         v = self.slow[addr] = self.outer[addr] = len(self.flags)

@@ -751,9 +751,13 @@ def _record(em, key, spans, gen, *args):
 
     ``spans`` are the ``(lo, hi)`` of the disjoint runs of slow memory that
     the moves use, and the temporaries ``gen`` allocates are one more
-    segment.  The cache is empty and no ``attempt`` is open at entry and
-    exit, so the moves depend only on ``key`` and the segments' places, and
-    a replay needs no budget check and is never rolled back.
+    segment, the last.  It is private to the record: the allocator never
+    hands those words out again and no caller is given them, so no move
+    outside the record touches them, which ``pebble._sealed`` checks before
+    the walkers' summaries leave them out.  The cache is empty and no
+    ``attempt`` is open at entry and exit, so the moves depend only on
+    ``key`` and the segments' places, and a replay needs no budget check
+    and is never rolled back.
     """
     assert not em.resident and not em.attempts
     temp_lo = em.temp_ptr

@@ -22,7 +22,7 @@ from hybridmm.cdag import (EncoderGraph, build_cdag,
                            verify_encoder_distinct_neighborhoods)
 from hybridmm.cli import main as cli_main
 from hybridmm.engine import execute, execute_stacked
-from hybridmm.pebble import MachineConfig, check_parsimonious, simulate
+from hybridmm.pebble import MachineConfig, _sealed, check_parsimonious, simulate
 from hybridmm.plans import (STRASSEN, StandardLeaf, StandardVariant,
                             random_plan, serialize_plan, uniform_plan)
 from hybridmm.ringmat import DEFAULT_MODULUS, Matrix, matmul_pyint
@@ -123,7 +123,8 @@ def test_criterion_2_bound_spot_checks():
 
 def test_criterion_3_schedule_legality_and_bound_sanity():
     """Every generated schedule across the sweep simulates cleanly, is
-    parsimonious, and never beats the lower bound.  Under 5 minutes."""
+    parsimonious, never beats the lower bound, and passes the scan that
+    lets its summaries leave out temporaries.  Under 5 minutes."""
     t0 = time.time()
     violations = []
     for n in (8, 16, 32, 64):
@@ -139,6 +140,8 @@ def test_criterion_3_schedule_legality_and_bound_sanity():
                         sched = gen_standard_blocked_schedule(n, cfg)
                     else:
                         sched = gen_hybrid_schedule(plan, cfg)
+                    if not _sealed(sched.moves.entries):
+                        violations.append((n, m, b, name, "not sealed"))
                     try:
                         stats = simulate(sched, cfg)
                     except Exception as exc:  # any simulation error is a failure

@@ -489,6 +489,88 @@ def test_records_of_many_segments(monkeypatch, summary_spy, entries, outcome, vi
     assert all(set(got) == {_COMBINES} for got in summary_spy.values())
 
 
+# spills a temporary, reads it back and builds its c word from it; its
+# segments are the a and c operands' spans and the temporaries
+_SPILLS_TEMP = Template([(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_E, 0), (MV_W, 12, 1),
+                         (MV_E, 12), (MV_R, 12, 1), (MV_C, 8, OP_NEG, 12, -1), (MV_E, 12),
+                         (MV_W, 8, 1), (MV_E, 8)],
+                        ((0, 1), (8, 9), (12, 13)))
+# records it with its temporaries in a segment other than its own last one
+_TEMP_OUTSIDE = Template([_record(_SPILLS_TEMP, 0, 8, 14)],
+                         ((0, 1), (8, 9), (14, 15), (12, 13)))
+# records it on its b word, then reads its own a word: a record that moves
+# its a segment into its temporaries puts that word on the nested temporary
+_READS_A_AFTER = Template([_record(_SPILLS_TEMP, 4, 8, 13), (MV_R, 0, 1),
+                           (MV_C, 9, OP_CPY, 0, -1), (MV_E, 0), (MV_W, 9, 1), (MV_E, 9)],
+                          ((0, 1), (4, 5), (8, 10), (12, 14)))
+# spills a computed temporary that nothing consumes
+_LEAVES_TEMP = Template([(MV_R, 0, 1), (MV_C, 12, OP_CPY, 0, -1), (MV_W, 12, 1), (MV_E, 12),
+                         (MV_C, 8, OP_NEG, 0, -1), (MV_E, 0), (MV_W, 8, 1), (MV_E, 8)],
+                        ((0, 1), (8, 9), (12, 13)))
+_READS_14 = [(MV_R, 14, 1), (MV_C, 10, OP_CPY, 14, -1), (MV_E, 14), (MV_W, 10, 1), (MV_E, 10)]
+
+
+def _walk(sched):
+    try:
+        stats = simulate(sched, MachineConfig(3, 1))
+    except ScheduleError as exc:
+        stats = (exc.kind, exc.step, str(exc))
+    return stats, check_parsimonious(sched).violations
+
+
+@pytest.mark.parametrize("entries,outcome,violations", [
+    # a flat move after a record reads that record's temporary
+    ([_record(_SPILLS_TEMP, 0, 8, 14), _record(_SPILLS_TEMP, 1, 9, 15)] + _READS_14,
+     IoStats(5, 5, 2, 5), []),
+    # a nested record's temporaries lie outside its parent's, where a move
+    # outside the parent reads them
+    ([_record(_TEMP_OUTSIDE, 0, 8, 14, 12), _record(_TEMP_OUTSIDE, 1, 9, 16, 17)] + _READS_14,
+     IoStats(5, 5, 2, 5), []),
+    # a record moves its a segment onto its temporaries
+    ([_record(_READS_A_AFTER, 13, 4, 8, 12), _record(_READS_A_AFTER, 1, 5, 10, 16)],
+     IoStats(6, 6, 2, 6), []),
+    # two records share their temporaries, and the second overwrites the
+    # first one's, never consumed
+    ([_record(_LEAVES_TEMP, 0, 8, 12), _record(_LEAVES_TEMP, 1, 9, 12)],
+     IoStats(2, 4, 2, 4), [(10, "computed value at 12 overwritten in slow memory unused")]),
+], ids=["read-after-record", "temporaries-outside-parent", "segments-over-temporaries",
+        "shared-temporaries"])
+def test_unsealed_records_keep_their_temporaries(monkeypatch, entries, outcome, violations):
+    # each schedule touches a record's temporaries from outside that
+    # record, so the scan refuses it and every summary keeps them: the walk
+    # is the flat one, which a walk that left them out would miss
+    sched = Schedule(Moves(entries), MemoryLayout(2))
+    flat = Schedule(list(sched.moves), sched.layout)
+    assert not pebble._sealed(entries)
+    assert _walk(sched) == _walk(flat) == (outcome, violations)
+    monkeypatch.setattr(pebble, "_sealed", lambda entries: True)
+    assert _walk(sched) != _walk(flat)
+
+
+def test_sealed_summaries_leave_out_temporaries(monkeypatch):
+    # two records of one template, each with its own temporary word: the
+    # summaries of both walkers keep the c word they write and drop the
+    # temporary, and the walk is still the flat one
+    entries = [_record(_SPILLS_TEMP, 0, 8, 12), _record(_SPILLS_TEMP, 1, 9, 13)]
+    sched = Schedule(Moves(entries), MemoryLayout(2))
+    flat = Schedule(list(sched.moves), sched.layout)
+    assert pebble._sealed(entries)
+    got = []
+    real = pebble._Walk.summary
+
+    def summary(self, template):
+        got.append(real(self, template))
+        return got[-1]
+
+    monkeypatch.setattr(pebble._Walk, "summary", summary)
+    cfg = MachineConfig(3, 1)
+    assert simulate(sched, cfg) == simulate(flat, cfg) == IoStats(4, 4, 2, 4)
+    assert check_parsimonious(sched).violations == check_parsimonious(flat).violations == []
+    sim, pars = got[0], got[-1]
+    assert sim.outputs.addrs == [8] and sim.inputs.addrs == [0]
+    assert pars.outputs.addrs == pars.pending.addrs == [8] and pars.consumed.addrs == [0]
+
+
 def _one_move_mutants(moves, rng, count):
     """Schedules that drop, duplicate or swap one move of ``moves``; most are
     illegal, which ``check_parsimonious`` must survive."""

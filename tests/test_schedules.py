@@ -627,6 +627,82 @@ def test_template_mutants_record_walk_matches_flat_walk(monkeypatch):
     assert in_place
 
 
+def _temporaries(entries):
+    """Each template that ``entries`` record with, for each nested record
+    whose temporaries are not empty, its index in the body and those
+    temporaries' words, moved to its bases."""
+    found = {}
+    for t in _templates(entries):
+        spans = [(i, range(mv[2][-1], mv[2][-1] + hi - lo))
+                 for i, mv in enumerate(t.body) if mv[0] == MV_REC
+                 for lo, hi in mv[1].segments[-1:] if lo < hi]
+        if spans:
+            found[t] = spans
+    return found
+
+
+def _temporary_mutants(sched, rng, count):
+    """Schedules, each with its edited template, that touch a word of a
+    nested record's temporaries from the body around that record: a read
+    and eviction of it after the record, or one move re-addressed onto
+    it."""
+    temporaries = _temporaries(sched.moves.entries)
+    for _ in range(count):
+        t = rng.choice(list(temporaries))
+        i, words = rng.choice(temporaries[t])
+        w = rng.choice(words)
+        body = list(t.body)
+        moves = [j for j, mv in enumerate(body) if mv[0] != MV_REC]
+        if rng.randrange(2) or not moves:
+            j = rng.randint(i + 1, len(body))
+            body[j:j] = [(MV_R, w, 1), (MV_E, w)]
+        else:
+            j = rng.choice(moves)
+            mv = list(body[j])
+            mv[rng.choice([1, 3, 4] if mv[0] == MV_C else [1])] = w
+            body[j] = tuple(mv)
+        yield _edit_template(sched, t, body)
+
+
+def test_temporary_mutants_refused_and_match_flat_walk(monkeypatch):
+    # a move outside a record that touches its temporaries makes the scan
+    # refuse the schedule, and both walks keep every word; with the scan
+    # bypassed, some mutants would walk otherwise than the flat walk
+    rng = random.Random(24)
+    cases = [(uniform_plan(8, 1), 3, 1), (uniform_plan(8, 2, WINOGRAD), 5, 2),
+             (uniform_plan(8, 1), 12, 1)]
+    differs = 0
+    for plan, m, b in cases:
+        machines = _tighter(m, b)[:2]
+        sched = gen_hybrid_schedule(plan, MachineConfig(m, b))
+        for mutant, _ in _temporary_mutants(sched, rng, 40):
+            assert not pebble._sealed(mutant.moves.entries)
+            walks = _walks(mutant, machines)
+            assert walks == _walks(_flat(mutant), machines)
+            monkeypatch.setattr(pebble, "_sealed", lambda entries: True)
+            differs += _walks(mutant, machines) != walks
+            monkeypatch.undo()
+    assert differs
+
+
+def test_summary_outputs_capped(monkeypatch):
+    # with the temporaries of sealed records left out, the summaries of
+    # check_parsimonious hold 5,550 output words at n=64, n0=1, M=3, where
+    # they held 254,223 with every word written
+    got = []
+    real = pebble._Walk.summary
+
+    def summary(self, template):
+        got.append(real(self, template))
+        return got[-1]
+
+    sched = gen_hybrid_schedule(uniform_plan(64, 1), MachineConfig(3, 1))
+    monkeypatch.setattr(pebble._Walk, "summary", summary)
+    assert check_parsimonious(sched).ok
+    summaries = {id(s): s for s in got if s is not None}.values()
+    assert summaries and sum(len(s.outputs.addrs) for s in summaries) <= 10_000
+
+
 @pytest.mark.parametrize("plan,m,b", [
     (uniform_plan(16, 1), 3, 1),
     (random_plan(16, 0.7, seed=1), 12, 1),
@@ -660,6 +736,7 @@ def test_record_walk_matches_flat_walk_on_random_plans(summary_spy):
                 plan = random_plan(n, p_fast, seed=seed)
                 for m, b in ((3, 1), (5, 2), (12, 1), (12, 4), (48, 1)):
                     sched = gen_hybrid_schedule(plan, MachineConfig(m, b))
+                    assert pebble._sealed(sched.moves.entries), (n, p_fast, seed, m, b)
                     walks = _walks(sched, _tighter(m, b))
                     assert walks == _walks(_flat(sched), _tighter(m, b)), (n, p_fast, seed, m, b)
                     uses = _templates(sched.moves.entries)
